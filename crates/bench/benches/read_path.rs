@@ -1,19 +1,20 @@
 //! Criterion micro-benchmarks of the crossbar read path: the
 //! conductance-cached sparse accumulation against the uncached dense
-//! reference, at the iris geometry (3×64) and at a Fig. 6-scale geometry
-//! (64 rows × 512 columns).
+//! reference, at the iris geometry (3×64). The Fig. 6-scale (64×512) reads
+//! are timed by the `perf` bin's `fig6_read_64x512/*` rows.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use febim_crossbar::{Activation, CrossbarArray, CrossbarLayout, ProgrammingMode};
+use febim_crossbar::{Activation, CrossbarLayout, ProgrammingMode, TileGrid, TilePlan};
 use febim_device::LevelProgrammer;
 
-/// Builds a fully programmed crossbar with a deterministic staggered level
-/// pattern (the same scheme the Fig. 6 sweeps use).
-fn programmed_array(rows: usize, nodes: usize, levels_per_node: usize) -> CrossbarArray {
+/// Builds a fully programmed monolithic crossbar (a 1×1 tile grid) with a
+/// deterministic staggered level pattern (the same scheme the Fig. 6 sweeps
+/// use).
+fn programmed_array(rows: usize, nodes: usize, levels_per_node: usize) -> TileGrid {
     let layout = CrossbarLayout::new(rows, nodes, levels_per_node, false).expect("layout");
     let programmer = LevelProgrammer::febim_default(10).expect("programmer");
-    let mut array = CrossbarArray::new(layout, programmer);
+    let mut array = TileGrid::new(TilePlan::whole(layout).expect("plan"), programmer);
     for row in 0..rows {
         for column in 0..array.layout().columns() {
             let level = (row + column) % 10;
@@ -71,8 +72,6 @@ fn bench_geometry(c: &mut Criterion, name: &str, rows: usize, nodes: usize, leve
 fn read_path_benches(c: &mut Criterion) {
     // The iris geometry of Fig. 8(b): 3 wordlines, 4 nodes × 16 levels.
     bench_geometry(c, "read_path_iris_3x64", 3, 4, 16);
-    // A Fig. 6-scale stress geometry: 64 wordlines, 32 nodes × 16 levels.
-    bench_geometry(c, "read_path_fig6_64x512", 64, 32, 16);
 }
 
 criterion_group!(benches, read_path_benches);

@@ -40,6 +40,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 use rand::Rng;
 use serde::Serialize;
 
+use febim_bench::load_budget;
 use febim_core::{
     EngineConfig, FebimEngine, ReplicaHealth, ScrubPolicy, ScrubScheduler, ServingConfig,
     ServingPool,
@@ -166,19 +167,6 @@ fn measure_pool(pool: &ServingPool, requests: &[Vec<f64>]) -> f64 {
     elapsed
 }
 
-/// Extracts `"<key>": <number>` from the checked-in budget file
-/// (hand-parsed; the vendored serde shim serializes only).
-fn load_budget(path: &str, key: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let quoted = format!("\"{key}\"");
-    let after_key = &text[text.find(&quoted)? + quoted.len()..];
-    let value = after_key.trim_start().strip_prefix(':')?.trim_start();
-    let end = value
-        .find(|c: char| !(c.is_ascii_digit() || ".-+eE".contains(c)))
-        .unwrap_or(value.len());
-    value[..end].parse().ok()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -199,15 +187,7 @@ fn main() {
     let interval: u64 = 10;
     let request_count = if quick { 2_000 } else { 10_000 };
 
-    let budget = |key: &str| {
-        load_budget(&budget_path, key).unwrap_or_else(|| {
-            eprintln!(
-                "could not read {key} from {budget_path}; \
-                 regenerate FAULT_BUDGET.json or pass --budget PATH"
-            );
-            std::process::exit(1);
-        })
-    };
+    let budget = |key: &str| load_budget(&budget_path, key);
     let max_detection_periods = budget("max_detection_periods");
     let max_repair_pulses_per_cell = budget("max_repair_pulses_per_cell");
     let min_healed_retention = budget("min_healed_retention");

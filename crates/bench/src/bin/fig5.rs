@@ -5,7 +5,7 @@
 use febim_bench::{emit, eng};
 use febim_circuit::{SensingChain, TransientConfig};
 use febim_core::Table;
-use febim_crossbar::{Activation, CrossbarArray, CrossbarLayout, ProgrammingMode};
+use febim_crossbar::{Activation, CrossbarLayout, ProgrammingMode, TileGrid, TilePlan};
 use febim_device::LevelProgrammer;
 use febim_quant::UniformQuantizer;
 
@@ -17,6 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let quantizer = UniformQuantizer::new(-1.3, 1.0, levels)?;
     let programmer = LevelProgrammer::febim_default(levels)?;
     let layout = CrossbarLayout::new(1, 2, levels, false)?;
+    let plan = TilePlan::whole(layout)?;
 
     let mut sweep = Table::new(
         "fig5ab_two_cell_accumulation",
@@ -31,12 +32,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut worst_error = 0.0f64;
     for level_a in 0..levels {
         for level_b in 0..levels {
-            let mut array = CrossbarArray::new(layout, programmer.clone());
+            let mut array = TileGrid::new(plan, programmer.clone());
             array.program_cell(0, level_a, level_a, ProgrammingMode::Ideal)?;
             array.program_cell(0, levels + level_b, level_b, ProgrammingMode::Ideal)?;
             let activation =
                 Activation::from_columns(array.layout(), &[level_a, levels + level_b])?;
-            let simulated = array.wordline_current(0, &activation)?;
+            let simulated = array.wordline_currents(&activation)?[0];
             let theoretical =
                 programmer.target_current(level_a)? + programmer.target_current(level_b)?;
             let error = (simulated - theoretical).abs() / theoretical;

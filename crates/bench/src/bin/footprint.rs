@@ -37,6 +37,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use serde::Serialize;
 
+use febim_bench::load_budget;
 use febim_core::{EngineConfig, FebimEngine, InferenceBackend, Table};
 use febim_data::rng::seeded_rng;
 use febim_data::split::{stratified_split, TrainTestSplit};
@@ -190,19 +191,6 @@ fn measure_point(
     }
 }
 
-/// Extracts `"<key>": <number>` from the checked-in budget file
-/// (hand-parsed; the vendored serde shim serializes only).
-fn load_budget(path: &str, key_name: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let key = format!("\"{key_name}\"");
-    let after_key = &text[text.find(key.as_str())? + key.len()..];
-    let value = after_key.trim_start().strip_prefix(':')?.trim_start();
-    let end = value
-        .find(|c: char| !(c.is_ascii_digit() || ".-+eE".contains(c)))
-        .unwrap_or(value.len());
-    value[..end].parse().ok()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -302,14 +290,7 @@ fn main() {
 
     // Gate 1: the packed array must actually be smaller — at least the
     // checked-in factor at fig6 scale with 4-bit cells.
-    let min_reduction =
-        load_budget(&budget_path, "min_column_reduction_fig6_4bit").unwrap_or_else(|| {
-            eprintln!(
-                "could not read min_column_reduction_fig6_4bit from {budget_path}; \
-                 regenerate FOOTPRINT_BUDGET.json or pass --budget PATH"
-            );
-            std::process::exit(1);
-        });
+    let min_reduction = load_budget(&budget_path, "min_column_reduction_fig6_4bit");
     assert!(
         fig6_reduction_4bit >= min_reduction,
         "the 4-bit bit-plane encoding must shrink the fig6-scale column footprint by at \
@@ -318,10 +299,7 @@ fn main() {
 
     // Gate 2: packing must not cost accuracy at sigma=0 — the shift-add
     // merge is exact integer arithmetic, so the tolerance defaults to zero.
-    let max_delta = load_budget(&budget_path, "max_accuracy_delta").unwrap_or_else(|| {
-        eprintln!("could not read max_accuracy_delta from {budget_path}");
-        std::process::exit(1);
-    });
+    let max_delta = load_budget(&budget_path, "max_accuracy_delta");
     for point in &points {
         assert!(
             point.accuracy_delta.abs() <= max_delta,
@@ -335,11 +313,7 @@ fn main() {
 
     // Gate 3: the merged read path must hold its throughput budget at fig6
     // scale. Re-measure with fresh passes before failing on a loaded host.
-    let ns_budget = load_budget(&budget_path, "packed_read_ns_per_inference_budget")
-        .unwrap_or_else(|| {
-            eprintln!("could not read packed_read_ns_per_inference_budget from {budget_path}");
-            std::process::exit(1);
-        });
+    let ns_budget = load_budget(&budget_path, "packed_read_ns_per_inference_budget");
     if fig6_packed_ns_4bit > ns_budget {
         let split = stratified_split(&fig6, 0.7, &mut seeded_rng(4242)).expect("split");
         let samples = request_stream(&split.test, inferences);
@@ -375,11 +349,7 @@ fn main() {
     // multi-level refinement reads priced through the sensing chain — must
     // not exceed the one-hot baseline's by more than the checked-in
     // factor. The circuit model is deterministic, so no re-measurement.
-    let max_energy_ratio = load_budget(&budget_path, "max_packed_energy_ratio_fig6_4bit")
-        .unwrap_or_else(|| {
-            eprintln!("could not read max_packed_energy_ratio_fig6_4bit from {budget_path}");
-            std::process::exit(1);
-        });
+    let max_energy_ratio = load_budget(&budget_path, "max_packed_energy_ratio_fig6_4bit");
     println!(
         "energy: fig6 4-bit packed costs x{fig6_energy_ratio_4bit:.3} the one-hot modelled \
          energy per inference (cap x{max_energy_ratio:.3})"

@@ -65,6 +65,28 @@ pub fn measure_min_ns<F: FnMut()>(mut routine: F, target: Duration) -> f64 {
     best
 }
 
+/// Reads the number stored under `key` in the JSON budget file at `path`.
+///
+/// Budgets are the checked-in gate thresholds of the bench bins, so a bench
+/// must never run ungated: a missing or unparsable file, or a missing or
+/// non-numeric `key`, prints what could not be read and exits with status 1.
+pub fn load_budget(path: &str, key: &str) -> f64 {
+    let value = std::fs::read_to_string(path)
+        .ok()
+        .and_then(|text| serde::json::parse(&text).ok())
+        .and_then(|budget| match budget.get(key)? {
+            serde::json::Value::Int(value) => Some(*value as f64),
+            serde::json::Value::Float(value) => Some(*value),
+            _ => None,
+        });
+    value.unwrap_or_else(|| {
+        eprintln!(
+            "could not read {key} from {path}; regenerate the budget file or pass --budget PATH"
+        );
+        std::process::exit(1);
+    })
+}
+
 /// Prints a table to the console and persists it as CSV under the default
 /// experiment directory, reporting where it was written.
 pub fn emit(table: &Table) {
@@ -110,6 +132,20 @@ mod tests {
         assert_eq!(eng(581.4e12, "OPS/W"), "581.40 TOPS/W");
         assert_eq!(eng(26.32e6, "b/mm2"), "26.32 Mb/mm2");
         assert_eq!(eng(0.0, "J"), "0.00 J");
+    }
+
+    #[test]
+    fn budgets_parse_integers_and_floats() {
+        let path = std::env::temp_dir().join(format!("febim_budget_{}.json", std::process::id()));
+        std::fs::write(
+            &path,
+            r#"{"comment": "x", "whole": 512, "fraction": 2.5e3}"#,
+        )
+        .unwrap();
+        let path = path.to_str().unwrap();
+        assert_eq!(load_budget(path, "whole"), 512.0);
+        assert_eq!(load_budget(path, "fraction"), 2500.0);
+        std::fs::remove_file(path).ok();
     }
 
     #[test]

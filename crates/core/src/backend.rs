@@ -9,14 +9,18 @@
 //!   no quantization, no devices, zero delay/energy. The ground truth every
 //!   physical backend is compared against.
 //! * [`CrossbarBackend`] — the paper's single-array engine: one
-//!   conductance-cached [`CrossbarArray`] plus the current-mirror / WTA
+//!   conductance-cached monolithic array (the 1×1 [`TileGrid`] of a
+//!   [`TilePlan::whole`] plan) plus the current-mirror / WTA
 //!   [`SensingChain`].
 //! * [`TiledFabricBackend`] — a model sharded across a grid of fixed-size
-//!   crossbar tiles ([`TileGrid`]): row-wise class sharding × column-wise
-//!   evidence splitting, per-tile conductance caches, and a partial-sum
-//!   aggregator that merges per-tile wordline currents before the fabric WTA.
-//!   Reads are bit-identical to the monolithic backend holding the same
-//!   program; only delay and energy reflect the tiling.
+//!   crossbar tiles: row-wise class sharding × column-wise evidence
+//!   splitting, and a partial-sum aggregator that merges per-tile wordline
+//!   currents before the fabric WTA. Reads are bit-identical to the
+//!   monolithic backend holding the same program; only delay and energy
+//!   reflect the tiling.
+//!
+//! The two physical backends share one read and maintenance path over their
+//! [`TileGrid`]; they differ only in how they price the sense step.
 //!
 //! `FebimEngine<B>` dispatches through the trait, so swapping the physics —
 //! or serving a model bigger than one physical array — is a type parameter,
@@ -30,8 +34,8 @@ use febim_circuit::{
     InferenceEnergy, ReadGroup, SensingChain, TileGeometry,
 };
 use febim_crossbar::{
-    apply_scheduled_fault, apply_scheduled_grid_fault, Activation, CrossbarArray, CrossbarLayout,
-    FaultSchedule, LevelLadder, ProgrammingMode, RefreshOutcome, ScrubOutcome, TileGrid, TileShape,
+    apply_scheduled_fault, Activation, FaultSchedule, LevelLadder, ProgrammingMode, RefreshOutcome,
+    ScrubOutcome, TileGrid, TilePlan, TileShape,
 };
 use febim_device::{LevelProgrammer, VariationModel};
 use febim_quant::{bit_offset_of, QuantizedGnbc};
@@ -336,26 +340,6 @@ pub trait InferenceBackend {
     }
 }
 
-/// Discretizes every sample of a batch into one activation per read,
-/// reusing (and growing on demand) the scratch's activation pool. Shared by
-/// the grouped-read paths of the physical backends.
-fn fill_batch_activations(
-    quantized: &QuantizedGnbc,
-    layout: &CrossbarLayout,
-    samples: &[Vec<f64>],
-    scratch: &mut EvalScratch,
-) -> Result<()> {
-    if scratch.batch_activations.len() < samples.len() {
-        let template = Activation::empty(layout);
-        scratch.batch_activations.resize(samples.len(), template);
-    }
-    for (index, sample) in samples.iter().enumerate() {
-        quantized.discretize_sample_into(sample, &mut scratch.evidence)?;
-        scratch.batch_activations[index].set_observation(layout, &scratch.evidence)?;
-    }
-    Ok(())
-}
-
 /// Builds the level programmer shared by the physical backends.
 fn level_programmer(config: &EngineConfig, state_count: usize) -> Result<LevelProgrammer> {
     Ok(LevelProgrammer::new(
@@ -514,135 +498,122 @@ impl InferenceBackend for SoftwareBackend {
     }
 }
 
-/// The paper's single-array in-memory backend: one conductance-cached
-/// crossbar plus the current-mirror / WTA sensing chain.
-#[derive(Debug, Clone)]
-pub struct CrossbarBackend {
-    quantized: Arc<QuantizedGnbc>,
-    program: CrossbarProgram,
-    array: CrossbarArray,
-    sensing: SensingChain,
-    programming_mode: ProgrammingMode,
-    variation: VariationModel,
-    variation_seed: u64,
-    /// Bit-plane read geometry (`None` for one-hot programs).
-    packed: Option<PackedRead>,
-    /// Pending chaos events delivered by [`InferenceBackend::advance_time`].
-    fault_schedule: Option<FaultSchedule>,
+/// How a physical backend prices and resolves the sense step of one read
+/// whose wordline currents (one-hot) or plane partial sums (packed) are
+/// already in the scratch. This is the one place the two grid backends
+/// differ: the rest of the read path is [`GridCore`]'s.
+trait SensePricing {
+    /// Records which bitlines one read drives, for pricing (tile geometry).
+    fn note_activation(
+        &self,
+        _activation: &Activation,
+        _tiles: &mut Vec<TileGeometry>,
+        _tile_activated: &mut Vec<usize>,
+    ) {
+    }
+
+    /// Resolves a one-hot read: WTA over `scratch.currents`.
+    fn sense(
+        &self,
+        sensing: &SensingChain,
+        activated: usize,
+        scratch: &mut EvalScratch,
+    ) -> Result<InferenceStep>;
+
+    /// Resolves a packed read: merges `scratch.plane_sums` on the shift-add
+    /// bus into `scratch.currents` (so [`EvalScratch::wordline_currents`]
+    /// reports the merged scores as currents, exactly like a one-hot read)
+    /// and runs the WTA over them.
+    fn sense_packed(
+        &self,
+        sensing: &SensingChain,
+        packed: &PackedRead,
+        activated: usize,
+        scratch: &mut EvalScratch,
+    ) -> Result<InferenceStep>;
+
+    /// Wordline-driver energy one read of an amortized group shares.
+    fn driver_share(&self, sensing: &SensingChain, rows: usize) -> f64;
 }
 
-impl CrossbarBackend {
-    /// Compiles the quantized model into a crossbar program and programs a
-    /// (possibly variation-affected) array.
-    ///
-    /// # Errors
-    ///
-    /// Propagates compilation and programming errors.
-    pub fn new(quantized: Arc<QuantizedGnbc>, config: &EngineConfig) -> Result<Self> {
-        let program = compile(&quantized, config.force_prior_column, config.encoding)?;
-        let programmer = level_programmer(config, program.state_count())?;
-        let packed = PackedRead::for_config(config, program.state_count())?;
-        let array = CrossbarArray::with_non_idealities(
-            *program.layout(),
-            programmer,
-            config.non_idealities,
-        )?;
-        let mut backend = Self {
-            quantized,
-            program,
-            array,
-            sensing: SensingChain::febim_calibrated(),
-            programming_mode: config.programming_mode,
-            variation: config.variation,
-            variation_seed: config.variation_seed,
-            packed,
-            fault_schedule: None,
-        };
-        backend.reprogram()?;
-        Ok(backend)
+/// Wraps a winning sense readout as an untied inference step.
+fn decided(readout: febim_circuit::SenseReadout) -> InferenceStep {
+    InferenceStep {
+        prediction: readout.winner,
+        delay: readout.delay,
+        energy: readout.energy,
+        tie_broken: false,
     }
+}
 
-    /// The compiled crossbar program.
-    pub fn program(&self) -> &CrossbarProgram {
-        &self.program
-    }
+/// Breaks an exact tie deterministically: the argmax of the (merged)
+/// currents wins, and the read is priced by `price`, which gets the
+/// currents re-mirrored into `scratch.mirrored` first (`sense_*_into` leaves
+/// the scratch unspecified on error). Quantized posteriors can tie exactly;
+/// physical mismatch would break the tie, the simulator does it
+/// deterministically instead.
+fn break_tie(
+    sensing: &SensingChain,
+    scratch: &mut EvalScratch,
+    price: impl FnOnce(&EvalScratch) -> febim_circuit::Result<(DelayBreakdown, InferenceEnergy)>,
+) -> Result<InferenceStep> {
+    let winner = argmax(&scratch.currents).expect("at least one wordline");
+    sensing
+        .mirror()
+        .copy_all_into(&scratch.currents, &mut scratch.mirrored)?;
+    let (delay, energy) = price(scratch)?;
+    Ok(InferenceStep {
+        prediction: winner,
+        delay,
+        energy,
+        tie_broken: true,
+    })
+}
 
-    /// The programmed crossbar array.
-    pub fn array(&self) -> &CrossbarArray {
-        &self.array
-    }
+/// The paper's single-array pricing: one set of wordline drivers, no merge
+/// bus, the monolithic [`SensingChain::sense_into`] /
+/// [`SensingChain::sense_shift_add_into`] models.
+#[derive(Debug, Clone, Copy)]
+struct MonolithicPricing;
 
-    /// The sensing chain (mirrors, WTA, delay and energy models).
-    pub fn sensing(&self) -> &SensingChain {
-        &self.sensing
-    }
-
-    /// Replaces the sensing chain (e.g. to study mirror mismatch).
-    pub fn set_sensing(&mut self, sensing: SensingChain) {
-        self.sensing = sensing;
-    }
-
-    /// Resolves one read whose wordline currents are already in the scratch:
-    /// the shared tail of the sequential and grouped inference paths, so
-    /// both decide (and price a single read) identically.
-    fn sense_step(&self, activated: usize, scratch: &mut EvalScratch) -> Result<InferenceStep> {
-        match self
-            .sensing
-            .sense_into(&scratch.currents, activated, &mut scratch.mirrored)
-        {
-            Ok(readout) => Ok(InferenceStep {
-                prediction: readout.winner,
-                delay: readout.delay,
-                energy: readout.energy,
-                tie_broken: false,
-            }),
-            Err(CircuitError::AmbiguousWinner { .. }) => {
-                // Quantized posteriors can tie exactly; physical mismatch
-                // would break the tie, we do it deterministically instead.
-                let winner = argmax(&scratch.currents).expect("at least one wordline");
-                let delay = self.sensing.delay_model().worst_case(
+impl SensePricing for MonolithicPricing {
+    fn sense(
+        &self,
+        sensing: &SensingChain,
+        activated: usize,
+        scratch: &mut EvalScratch,
+    ) -> Result<InferenceStep> {
+        match sensing.sense_into(&scratch.currents, activated, &mut scratch.mirrored) {
+            Ok(readout) => Ok(decided(readout)),
+            Err(CircuitError::AmbiguousWinner { .. }) => break_tie(sensing, scratch, |scratch| {
+                let delay = sensing.delay_model().worst_case(
                     scratch.currents.len(),
                     activated.max(1),
-                    self.sensing.wta(),
-                    self.sensing.mirror().gain,
+                    sensing.wta(),
+                    sensing.mirror().gain,
                 )?;
-                // `sense_into` leaves the scratch unspecified on error, so
-                // re-mirror the currents before pricing the energy.
-                self.sensing
-                    .mirror()
-                    .copy_all_into(&scratch.currents, &mut scratch.mirrored)?;
-                let energy = self.sensing.energy_model().inference_with_mirrored(
+                let energy = sensing.energy_model().inference_with_mirrored(
                     &scratch.currents,
                     &scratch.mirrored,
                     activated,
                     delay.total(),
-                    self.sensing.mirror(),
-                    self.sensing.wta(),
+                    sensing.mirror(),
+                    sensing.wta(),
                 )?;
-                Ok(InferenceStep {
-                    prediction: winner,
-                    delay,
-                    energy,
-                    tie_broken: true,
-                })
-            }
+                Ok((delay, energy))
+            }),
             Err(err) => Err(err.into()),
         }
     }
 
-    /// Resolves one packed read whose plane partial sums are already in the
-    /// scratch: merges them on the shift-add bus into `scratch.currents`
-    /// (so [`EvalScratch::wordline_currents`] reports the merged scores as
-    /// currents, exactly like a one-hot read) and prices the packed read.
-    /// Integer packed scores tie far more often than analog sums, so the
-    /// deterministic argmax tie-break is part of the expected path here.
-    fn sense_packed_step(
+    fn sense_packed(
         &self,
+        sensing: &SensingChain,
         packed: &PackedRead,
         activated: usize,
         scratch: &mut EvalScratch,
     ) -> Result<InferenceStep> {
-        match self.sensing.sense_shift_add_into(
+        match sensing.sense_shift_add_into(
             &scratch.plane_sums,
             packed.planes,
             packed.cell_bits(),
@@ -652,26 +623,11 @@ impl CrossbarBackend {
             &mut scratch.currents,
             &mut scratch.mirrored,
         ) {
-            Ok(readout) => Ok(InferenceStep {
-                prediction: readout.winner,
-                delay: readout.delay,
-                energy: readout.energy,
-                tie_broken: false,
-            }),
-            Err(CircuitError::AmbiguousWinner { .. }) => {
-                // The merge ran before the WTA, so `scratch.currents` holds
-                // the merged currents; break the tie deterministically and
-                // price the read with the packed helpers.
-                let winner = argmax(&scratch.currents).expect("at least one wordline");
-                let delay = self.sensing.shift_add_delay(
-                    scratch.currents.len(),
-                    activated,
-                    packed.planes,
-                )?;
-                self.sensing
-                    .mirror()
-                    .copy_all_into(&scratch.currents, &mut scratch.mirrored)?;
-                let energy = self.sensing.shift_add_energy(
+            Ok(readout) => Ok(decided(readout)),
+            Err(CircuitError::AmbiguousWinner { .. }) => break_tie(sensing, scratch, |scratch| {
+                let delay =
+                    sensing.shift_add_delay(scratch.currents.len(), activated, packed.planes)?;
+                let energy = sensing.shift_add_energy(
                     &scratch.currents,
                     &scratch.mirrored,
                     activated,
@@ -679,84 +635,279 @@ impl CrossbarBackend {
                     packed.cell_bits(),
                     delay.total(),
                 )?;
-                Ok(InferenceStep {
-                    prediction: winner,
-                    delay,
-                    energy,
-                    tie_broken: true,
-                })
-            }
+                Ok((delay, energy))
+            }),
             Err(err) => Err(err.into()),
         }
     }
+
+    fn driver_share(&self, sensing: &SensingChain, rows: usize) -> f64 {
+        wordline_driver_energy(sensing.energy_model().params(), rows)
+    }
 }
 
-impl InferenceBackend for CrossbarBackend {
-    fn info(&self) -> BackendInfo {
-        BackendInfo {
-            kind: BackendKind::Crossbar,
-            name: "crossbar-single-array",
-            events: self.array.layout().rows(),
-            columns: self.array.layout().columns(),
-            tiles: 1,
+/// Tiled-fabric pricing: per-tile wordline drivers and array settling, the
+/// partial-sum merge bus and the fabric WTA.
+#[derive(Debug, Clone)]
+struct FabricPricing {
+    /// Occupied geometry of every tile (grid row-major), with
+    /// `activated_columns` zeroed; cloned into the scratch and filled per
+    /// read.
+    base_tiles: Vec<TileGeometry>,
+    /// Tile columns of the grid.
+    col_tiles: usize,
+    /// Bitlines per physical tile.
+    tile_columns: usize,
+}
+
+impl FabricPricing {
+    fn new(plan: &TilePlan) -> Result<Self> {
+        let mut base_tiles = Vec::with_capacity(plan.tile_count());
+        for tile_row in 0..plan.row_tiles() {
+            for tile_col in 0..plan.col_tiles() {
+                let (rows, columns) = plan.tile_dims(tile_row, tile_col)?;
+                base_tiles.push(TileGeometry {
+                    rows,
+                    columns,
+                    activated_columns: 0,
+                });
+            }
+        }
+        Ok(Self {
+            base_tiles,
+            col_tiles: plan.col_tiles(),
+            tile_columns: plan.shape().columns,
+        })
+    }
+}
+
+impl SensePricing for FabricPricing {
+    /// Fills the per-tile-column activated-bitline counts, then one
+    /// [`TileGeometry`] per tile in grid row-major order.
+    fn note_activation(
+        &self,
+        activation: &Activation,
+        tiles: &mut Vec<TileGeometry>,
+        tile_activated: &mut Vec<usize>,
+    ) {
+        tile_activated.clear();
+        tile_activated.resize(self.col_tiles, 0);
+        for &column in activation.active_columns() {
+            tile_activated[column / self.tile_columns] += 1;
+        }
+        tiles.clear();
+        tiles.extend_from_slice(&self.base_tiles);
+        for (index, tile) in tiles.iter_mut().enumerate() {
+            tile.activated_columns = tile_activated[index % self.col_tiles];
         }
     }
 
+    fn sense(
+        &self,
+        sensing: &SensingChain,
+        _activated: usize,
+        scratch: &mut EvalScratch,
+    ) -> Result<InferenceStep> {
+        let col_tiles = self.col_tiles;
+        match sensing.sense_fabric_into(
+            &scratch.currents,
+            &scratch.tiles,
+            col_tiles,
+            &mut scratch.mirrored,
+        ) {
+            Ok(readout) => Ok(decided(readout)),
+            Err(CircuitError::AmbiguousWinner { .. }) => break_tie(sensing, scratch, |scratch| {
+                let delay =
+                    sensing.fabric_delay(&scratch.tiles, col_tiles, scratch.currents.len())?;
+                let energy = sensing.fabric_energy(
+                    &scratch.currents,
+                    &scratch.mirrored,
+                    &scratch.tiles,
+                    col_tiles,
+                    delay.total(),
+                )?;
+                Ok((delay, energy))
+            }),
+            Err(err) => Err(err.into()),
+        }
+    }
+
+    fn sense_packed(
+        &self,
+        sensing: &SensingChain,
+        packed: &PackedRead,
+        _activated: usize,
+        scratch: &mut EvalScratch,
+    ) -> Result<InferenceStep> {
+        let col_tiles = self.col_tiles;
+        match sensing.sense_shift_add_fabric_into(
+            &scratch.plane_sums,
+            packed.planes,
+            packed.cell_bits(),
+            packed.lsb_current,
+            packed.floor_current,
+            &scratch.tiles,
+            col_tiles,
+            &mut scratch.currents,
+            &mut scratch.mirrored,
+        ) {
+            Ok(readout) => Ok(decided(readout)),
+            Err(CircuitError::AmbiguousWinner { .. }) => break_tie(sensing, scratch, |scratch| {
+                let delay = sensing.shift_add_fabric_delay(
+                    &scratch.tiles,
+                    col_tiles,
+                    scratch.currents.len(),
+                    packed.planes,
+                )?;
+                let energy = sensing.shift_add_fabric_energy(
+                    &scratch.currents,
+                    &scratch.mirrored,
+                    &scratch.tiles,
+                    col_tiles,
+                    packed.planes,
+                    packed.cell_bits(),
+                    delay.total(),
+                )?;
+                Ok((delay, energy))
+            }),
+            Err(err) => Err(err.into()),
+        }
+    }
+
+    fn driver_share(&self, sensing: &SensingChain, _rows: usize) -> f64 {
+        fabric_wordline_driver_energy(sensing.energy_model().params(), &self.base_tiles)
+    }
+}
+
+/// The compiled program, the programmed [`TileGrid`] and the
+/// read/maintenance path shared by the two physical backends — discretize,
+/// one-hot or packed observation, grid read, reprogram, ageing,
+/// recalibrate, scrub and the fault schedule. `P` prices the sense step.
+#[derive(Debug, Clone)]
+struct GridCore<P> {
+    quantized: Arc<QuantizedGnbc>,
+    /// The program and its placement; the grid is built on its plan.
+    program: TiledProgram,
+    grid: TileGrid,
+    sensing: SensingChain,
+    pricing: P,
+    programming_mode: ProgrammingMode,
+    variation: VariationModel,
+    variation_seed: u64,
+    /// Bit-plane read geometry (`None` for one-hot programs).
+    packed: Option<PackedRead>,
+    /// Pending chaos events delivered by [`GridCore::advance_time`].
+    fault_schedule: Option<FaultSchedule>,
+}
+
+impl<P: SensePricing> GridCore<P> {
+    /// Builds a grid on the program's plan and programs it (plus the
+    /// configured device variation).
+    fn new(
+        quantized: Arc<QuantizedGnbc>,
+        config: &EngineConfig,
+        program: TiledProgram,
+        pricing: P,
+    ) -> Result<Self> {
+        let programmer = level_programmer(config, program.state_count())?;
+        let grid =
+            TileGrid::with_non_idealities(*program.plan(), programmer, config.non_idealities)?;
+        let packed = PackedRead::for_config(config, program.state_count())?;
+        let mut core = Self {
+            quantized,
+            program,
+            grid,
+            sensing: SensingChain::febim_calibrated(),
+            pricing,
+            programming_mode: config.programming_mode,
+            variation: config.variation,
+            variation_seed: config.variation_seed,
+            packed,
+            fault_schedule: None,
+        };
+        core.reprogram()?;
+        Ok(core)
+    }
+
     fn make_scratch(&self) -> EvalScratch {
+        let layout = self.grid.layout();
         EvalScratch {
             evidence: Vec::with_capacity(self.quantized.n_features()),
-            activation: Some(Activation::empty(self.array.layout())),
-            currents: Vec::with_capacity(self.array.layout().rows()),
-            mirrored: Vec::with_capacity(self.array.layout().rows()),
+            activation: Some(Activation::empty(layout)),
+            currents: Vec::with_capacity(layout.rows()),
+            mirrored: Vec::with_capacity(layout.rows()),
             ..EvalScratch::default()
+        }
+    }
+
+    /// Sets `activation` to one read's observation: the discretized bins in
+    /// `evidence` directly (one-hot), or mapped onto packed columns with the
+    /// digit bit offsets appended to `bit_offsets` (bit-plane).
+    fn observe(
+        &self,
+        evidence: &[usize],
+        packed_evidence: &mut Vec<usize>,
+        bit_offsets: &mut Vec<u8>,
+        activation: &mut Activation,
+    ) -> Result<()> {
+        let layout = self.grid.layout();
+        let observation = match &self.packed {
+            Some(packed) => {
+                packed.fill_observation(evidence, layout.has_prior(), packed_evidence, bit_offsets);
+                &packed_evidence[..]
+            }
+            None => evidence,
+        };
+        activation.set_observation(layout, observation)?;
+        Ok(())
+    }
+
+    /// Resolves one read whose currents (or plane partial sums) and tile
+    /// geometry are in the scratch: the shared tail of the sequential and
+    /// grouped inference paths, so both decide (and price a single read)
+    /// identically.
+    fn sense(&self, activated: usize, scratch: &mut EvalScratch) -> Result<InferenceStep> {
+        match &self.packed {
+            Some(packed) => self
+                .pricing
+                .sense_packed(&self.sensing, packed, activated, scratch),
+            None => self.pricing.sense(&self.sensing, activated, scratch),
         }
     }
 
     fn infer_into(&self, sample: &[f64], scratch: &mut EvalScratch) -> Result<InferenceStep> {
         self.quantized
             .discretize_sample_into(sample, &mut scratch.evidence)?;
-        if let Some(packed) = &self.packed {
-            let activated;
-            {
-                let EvalScratch {
-                    evidence,
-                    activation,
-                    packed_evidence,
-                    bit_offsets,
-                    plane_sums,
-                    level_scratch,
-                    ..
-                } = scratch;
-                let activation =
-                    activation.get_or_insert_with(|| Activation::empty(self.array.layout()));
-                bit_offsets.clear();
-                packed.fill_observation(
-                    evidence,
-                    self.array.layout().has_prior(),
-                    packed_evidence,
-                    bit_offsets,
-                );
-                activation.set_observation(self.array.layout(), packed_evidence)?;
-                self.array.plane_partial_sums_into(
-                    activation,
-                    bit_offsets,
-                    packed.planes,
-                    &packed.ladder,
-                    level_scratch,
-                    plane_sums,
-                )?;
-                activated = activation.len();
-            }
-            return self.sense_packed_step(packed, activated, scratch);
+        let EvalScratch {
+            evidence,
+            activation,
+            currents,
+            tiles,
+            tile_activated,
+            packed_evidence,
+            bit_offsets,
+            plane_sums,
+            level_scratch,
+            ..
+        } = scratch;
+        let activation = activation.get_or_insert_with(|| Activation::empty(self.grid.layout()));
+        bit_offsets.clear();
+        self.observe(evidence, packed_evidence, bit_offsets, activation)?;
+        match &self.packed {
+            Some(packed) => self.grid.plane_partial_sums_into(
+                activation,
+                bit_offsets,
+                packed.planes,
+                &packed.ladder,
+                level_scratch,
+                plane_sums,
+            )?,
+            None => self.grid.wordline_currents_into(activation, currents)?,
         }
-        let activation = scratch
-            .activation
-            .get_or_insert_with(|| Activation::empty(self.array.layout()));
-        activation.set_observation(self.array.layout(), &scratch.evidence)?;
-        self.array
-            .wordline_currents_into(activation, &mut scratch.currents)?;
+        self.pricing
+            .note_activation(activation, tiles, tile_activated);
         let activated = activation.len();
-        self.sense_step(activated, scratch)
+        self.sense(activated, scratch)
     }
 
     fn infer_batch_into(
@@ -769,91 +920,83 @@ impl InferenceBackend for CrossbarBackend {
         if samples.is_empty() {
             return Ok(BatchTelemetry::empty(true));
         }
+        let rows = self.grid.layout().rows();
+        let share = self.pricing.driver_share(&self.sensing, rows);
+        let mut group = ReadGroup::new();
         if let [sample] = samples {
             // Singleton fall-through: skip the batch scratch machinery and
             // price the plain sequential read as a group of one, so batching
             // is never slower than sequential at `max_batch == 1`.
             let step = self.infer_into(sample, scratch)?;
-            let share = wordline_driver_energy(
-                self.sensing.energy_model().params(),
-                self.array.layout().rows(),
-            );
-            let mut group = ReadGroup::new();
             group.add(&step.delay, &step.energy, share)?;
             steps.push(step);
             return Ok(BatchTelemetry::from_group(&group));
         }
-        if let Some(packed) = &self.packed {
-            // Packed grouped read: one batched bit-plane kernel pass, then
-            // per-read shift-add sensing — bit-identical to sequential
-            // packed reads, priced as one amortized group.
-            let layout = self.array.layout();
-            if scratch.batch_activations.len() < samples.len() {
-                let template = Activation::empty(layout);
-                scratch.batch_activations.resize(samples.len(), template);
-            }
-            scratch.bit_offsets.clear();
-            for (index, sample) in samples.iter().enumerate() {
-                self.quantized
-                    .discretize_sample_into(sample, &mut scratch.evidence)?;
-                let EvalScratch {
-                    evidence,
-                    packed_evidence,
-                    bit_offsets,
-                    batch_activations,
-                    ..
-                } = scratch;
-                packed.fill_observation(evidence, layout.has_prior(), packed_evidence, bit_offsets);
-                batch_activations[index].set_observation(layout, packed_evidence)?;
-            }
-            {
-                let EvalScratch {
-                    bit_offsets,
-                    batch_activations,
-                    batch_currents,
-                    level_scratch,
-                    ..
-                } = scratch;
-                self.array.plane_partial_sums_batch_into(
-                    &batch_activations[..samples.len()],
-                    bit_offsets,
+        // One batched kernel pass over every read, then per-read sensing —
+        // bit-identical to sequential reads, priced as one amortized group.
+        let layout = self.grid.layout();
+        if scratch.batch_activations.len() < samples.len() {
+            let template = Activation::empty(layout);
+            scratch.batch_activations.resize(samples.len(), template);
+        }
+        scratch.bit_offsets.clear();
+        for (index, sample) in samples.iter().enumerate() {
+            self.quantized
+                .discretize_sample_into(sample, &mut scratch.evidence)?;
+            let EvalScratch {
+                evidence,
+                packed_evidence,
+                bit_offsets,
+                batch_activations,
+                ..
+            } = scratch;
+            self.observe(
+                evidence,
+                packed_evidence,
+                bit_offsets,
+                &mut batch_activations[index],
+            )?;
+        }
+        let reads = &scratch.batch_activations[..samples.len()];
+        let stride = match &self.packed {
+            Some(packed) => {
+                self.grid.plane_partial_sums_batch_into(
+                    reads,
+                    &scratch.bit_offsets,
                     packed.planes,
                     &packed.ladder,
-                    level_scratch,
-                    batch_currents,
+                    &mut scratch.level_scratch,
+                    &mut scratch.batch_currents,
                 )?;
+                rows * packed.planes
             }
-            let rows = layout.rows();
-            let stride = rows * packed.planes;
-            let share = wordline_driver_energy(self.sensing.energy_model().params(), rows);
-            let mut group = ReadGroup::new();
-            for read in 0..samples.len() {
-                scratch.plane_sums.clear();
-                scratch
-                    .plane_sums
-                    .extend_from_slice(&scratch.batch_currents[read * stride..(read + 1) * stride]);
-                let activated = scratch.batch_activations[read].len();
-                let step = self.sense_packed_step(packed, activated, scratch)?;
-                group.add(&step.delay, &step.energy, share)?;
-                steps.push(step);
+            None => {
+                self.grid
+                    .wordline_currents_batch_into(reads, &mut scratch.batch_currents)?;
+                rows
             }
-            return Ok(BatchTelemetry::from_group(&group));
-        }
-        fill_batch_activations(&self.quantized, self.array.layout(), samples, scratch)?;
-        self.array.wordline_currents_batch_into(
-            &scratch.batch_activations[..samples.len()],
-            &mut scratch.batch_currents,
-        )?;
-        let rows = self.array.layout().rows();
-        let share = wordline_driver_energy(self.sensing.energy_model().params(), rows);
-        let mut group = ReadGroup::new();
+        };
         for read in 0..samples.len() {
-            scratch.currents.clear();
-            scratch
-                .currents
-                .extend_from_slice(&scratch.batch_currents[read * rows..(read + 1) * rows]);
-            let activated = scratch.batch_activations[read].len();
-            let step = self.sense_step(activated, scratch)?;
+            let EvalScratch {
+                batch_activations,
+                batch_currents,
+                currents,
+                plane_sums,
+                tiles,
+                tile_activated,
+                ..
+            } = scratch;
+            let target = if self.packed.is_some() {
+                plane_sums
+            } else {
+                currents
+            };
+            target.clear();
+            target.extend_from_slice(&batch_currents[read * stride..(read + 1) * stride]);
+            self.pricing
+                .note_activation(&batch_activations[read], tiles, tile_activated);
+            let activated = batch_activations[read].len();
+            let step = self.sense(activated, scratch)?;
             group.add(&step.delay, &step.energy, share)?;
             steps.push(step);
         }
@@ -861,30 +1004,47 @@ impl InferenceBackend for CrossbarBackend {
     }
 
     fn reprogram(&mut self) -> Result<()> {
-        self.array
-            .program_matrix(self.program.levels(), self.programming_mode)?;
+        self.grid
+            .program_matrix(self.program.program().levels(), self.programming_mode)?;
         if self.variation.sigma_vth > 0.0 {
             let mut rng = VariationModel::seeded_rng(self.variation_seed);
-            self.array.apply_variation(&self.variation, &mut rng);
+            self.grid.apply_variation(&self.variation, &mut rng);
         }
         Ok(())
     }
 
-    fn current_map_into(&self, out: &mut Vec<f64>) -> Result<()> {
-        self.array.current_map_into(out);
-        Ok(())
+    fn program_cost(&self) -> Option<SwapCost> {
+        let programmer = self.grid.programmer();
+        let mut cost = SwapCost::default();
+        for level in self.program.program().levels().iter().flatten().flatten() {
+            let state = programmer.state_for_level(*level).ok()?;
+            cost.pulses += u64::from(state.write_config.pulse_count) + 1;
+            cost.energy_j += programmer.write_energy(*level).ok()?;
+        }
+        Some(cost)
+    }
+
+    fn decommission(&mut self) -> Result<Option<SwapCost>> {
+        let layout = *self.grid.layout();
+        let outcome = self
+            .grid
+            .erase_region(0..layout.rows(), 0..layout.columns())?;
+        Ok(Some(SwapCost {
+            pulses: outcome.pulses_applied,
+            energy_j: outcome.energy_joules,
+        }))
     }
 
     fn advance_time(&mut self, ticks: u64) {
-        self.array.advance_time(ticks);
+        self.grid.advance_time(ticks);
         if let Some(schedule) = self.fault_schedule.as_mut() {
-            let now = self.array.clock();
+            let now = self.grid.clock();
             for event in schedule.take_due(now) {
                 // A schedule drawn for a different geometry can carry
                 // out-of-range coordinates; dropping those events beats
                 // panicking mid-serving.
                 let _ = apply_scheduled_fault(
-                    &mut self.array,
+                    &mut self.grid,
                     event.row,
                     event.column,
                     event.kind,
@@ -894,32 +1054,6 @@ impl InferenceBackend for CrossbarBackend {
         }
     }
 
-    fn clock(&self) -> u64 {
-        self.array.clock()
-    }
-
-    fn state_epoch(&self) -> u64 {
-        self.array.state_epoch()
-    }
-
-    fn worst_effective_shift(&self) -> f64 {
-        self.array.worst_effective_shift()
-    }
-
-    fn recalibrate(&mut self, max_vth_shift: f64) -> Result<RefreshOutcome> {
-        Ok(self
-            .array
-            .recalibrate(max_vth_shift, self.programming_mode)?)
-    }
-
-    fn scrub(&mut self, max_vth_shift: f64) -> Result<ScrubOutcome> {
-        Ok(self.array.scrub(max_vth_shift, self.programming_mode)?)
-    }
-
-    fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
-        self.fault_schedule = Some(schedule);
-    }
-
     fn pending_faults(&self) -> usize {
         self.fault_schedule
             .as_ref()
@@ -927,26 +1061,155 @@ impl InferenceBackend for CrossbarBackend {
     }
 }
 
+/// Implements [`InferenceBackend`] for a backend whose [`GridCore`] sits in
+/// its `core` field: every method forwards to the core.
+macro_rules! grid_backend {
+    ($backend:ty, $kind:expr, $name:literal) => {
+        impl InferenceBackend for $backend {
+            fn info(&self) -> BackendInfo {
+                let layout = self.core.grid.layout();
+                BackendInfo {
+                    kind: $kind,
+                    name: $name,
+                    events: layout.rows(),
+                    columns: layout.columns(),
+                    tiles: self.core.grid.plan().tile_count(),
+                }
+            }
+
+            fn make_scratch(&self) -> EvalScratch {
+                self.core.make_scratch()
+            }
+
+            fn infer_into(
+                &self,
+                sample: &[f64],
+                scratch: &mut EvalScratch,
+            ) -> Result<InferenceStep> {
+                self.core.infer_into(sample, scratch)
+            }
+
+            fn infer_batch_into(
+                &self,
+                samples: &[Vec<f64>],
+                scratch: &mut EvalScratch,
+                steps: &mut Vec<InferenceStep>,
+            ) -> Result<BatchTelemetry> {
+                self.core.infer_batch_into(samples, scratch, steps)
+            }
+
+            fn reprogram(&mut self) -> Result<()> {
+                self.core.reprogram()
+            }
+
+            fn current_map_into(&self, out: &mut Vec<f64>) -> Result<()> {
+                self.core.grid.current_map_into(out);
+                Ok(())
+            }
+
+            fn advance_time(&mut self, ticks: u64) {
+                self.core.advance_time(ticks);
+            }
+
+            fn clock(&self) -> u64 {
+                self.core.grid.clock()
+            }
+
+            fn state_epoch(&self) -> u64 {
+                self.core.grid.state_epoch()
+            }
+
+            fn worst_effective_shift(&self) -> f64 {
+                self.core.grid.worst_effective_shift()
+            }
+
+            fn recalibrate(&mut self, max_vth_shift: f64) -> Result<RefreshOutcome> {
+                let mode = self.core.programming_mode;
+                Ok(self.core.grid.recalibrate(max_vth_shift, mode)?)
+            }
+
+            fn scrub(&mut self, max_vth_shift: f64) -> Result<ScrubOutcome> {
+                let mode = self.core.programming_mode;
+                Ok(self.core.grid.scrub(max_vth_shift, mode)?)
+            }
+
+            fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
+                self.core.fault_schedule = Some(schedule);
+            }
+
+            fn pending_faults(&self) -> usize {
+                self.core.pending_faults()
+            }
+
+            fn program_cost(&self) -> Option<SwapCost> {
+                self.core.program_cost()
+            }
+
+            fn decommission(&mut self) -> Result<Option<SwapCost>> {
+                self.core.decommission()
+            }
+        }
+    };
+}
+
+/// The paper's single-array in-memory backend: the compiled program on one
+/// monolithic crossbar (the 1×1 [`TileGrid`] of a [`TilePlan::whole`] plan)
+/// plus the current-mirror / WTA sensing chain, priced as one array.
+#[derive(Debug, Clone)]
+pub struct CrossbarBackend {
+    core: GridCore<MonolithicPricing>,
+}
+
+impl CrossbarBackend {
+    /// Compiles the quantized model into a crossbar program and programs a
+    /// (possibly variation-affected) array.
+    ///
+    /// # Errors
+    ///
+    /// Propagates compilation and programming errors.
+    pub fn new(quantized: Arc<QuantizedGnbc>, config: &EngineConfig) -> Result<Self> {
+        let program = compile(&quantized, config.force_prior_column, config.encoding)?;
+        let program = TiledProgram::whole(program)?;
+        Ok(Self {
+            core: GridCore::new(quantized, config, program, MonolithicPricing)?,
+        })
+    }
+
+    /// The compiled crossbar program.
+    pub fn program(&self) -> &CrossbarProgram {
+        self.core.program.program()
+    }
+
+    /// The programmed crossbar array.
+    pub fn array(&self) -> &TileGrid {
+        &self.core.grid
+    }
+
+    /// The sensing chain (mirrors, WTA, delay and energy models).
+    pub fn sensing(&self) -> &SensingChain {
+        &self.core.sensing
+    }
+
+    /// Replaces the sensing chain (e.g. to study mirror mismatch).
+    pub fn set_sensing(&mut self, sensing: SensingChain) {
+        self.core.sensing = sensing;
+    }
+}
+
+grid_backend!(
+    CrossbarBackend,
+    BackendKind::Crossbar,
+    "crossbar-single-array"
+);
+
 /// The tiled multi-array fabric backend: the compiled program sharded across
-/// a [`TileGrid`] of fixed-size tiles, read through the fabric partial-sum
-/// aggregation of the sensing chain.
+/// a [`TileGrid`] of fixed-size tiles, priced through the fabric
+/// partial-sum aggregation of the sensing chain. Reads are bit-identical to
+/// the monolithic backend holding the same program; only delay and energy
+/// reflect the tiling.
 #[derive(Debug, Clone)]
 pub struct TiledFabricBackend {
-    quantized: Arc<QuantizedGnbc>,
-    tiled: TiledProgram,
-    grid: TileGrid,
-    sensing: SensingChain,
-    /// Occupied geometry of every tile (grid row-major), with
-    /// `activated_columns` zeroed; cloned into the scratch and filled per
-    /// read.
-    base_tiles: Vec<TileGeometry>,
-    programming_mode: ProgrammingMode,
-    variation: VariationModel,
-    variation_seed: u64,
-    /// Bit-plane read geometry (`None` for one-hot programs).
-    packed: Option<PackedRead>,
-    /// Pending chaos events delivered by [`InferenceBackend::advance_time`].
-    fault_schedule: Option<FaultSchedule>,
+    core: GridCore<FabricPricing>,
 }
 
 impl TiledFabricBackend {
@@ -984,472 +1247,34 @@ impl TiledFabricBackend {
         config: &EngineConfig,
         tiled: TiledProgram,
     ) -> Result<Self> {
-        let programmer = level_programmer(config, tiled.state_count())?;
-        let packed = PackedRead::for_config(config, tiled.state_count())?;
-        let grid = TileGrid::with_non_idealities(*tiled.plan(), programmer, config.non_idealities)?;
-        let plan = tiled.plan();
-        let mut base_tiles = Vec::with_capacity(plan.tile_count());
-        for tile_row in 0..plan.row_tiles() {
-            for tile_col in 0..plan.col_tiles() {
-                let (rows, columns) = plan.tile_dims(tile_row, tile_col)?;
-                base_tiles.push(TileGeometry {
-                    rows,
-                    columns,
-                    activated_columns: 0,
-                });
-            }
-        }
-        let mut backend = Self {
-            quantized,
-            tiled,
-            grid,
-            sensing: SensingChain::febim_calibrated(),
-            base_tiles,
-            programming_mode: config.programming_mode,
-            variation: config.variation,
-            variation_seed: config.variation_seed,
-            packed,
-            fault_schedule: None,
-        };
-        backend.reprogram()?;
-        Ok(backend)
+        let pricing = FabricPricing::new(tiled.plan())?;
+        Ok(Self {
+            core: GridCore::new(quantized, config, tiled, pricing)?,
+        })
     }
 
     /// The compiled tiled program.
     pub fn tiled_program(&self) -> &TiledProgram {
-        &self.tiled
+        &self.core.program
     }
 
     /// The programmed tile grid.
     pub fn grid(&self) -> &TileGrid {
-        &self.grid
+        &self.core.grid
     }
 
     /// The sensing chain (mirrors, WTA, delay and energy models).
     pub fn sensing(&self) -> &SensingChain {
-        &self.sensing
+        &self.core.sensing
     }
 
     /// Replaces the sensing chain (e.g. to study mirror mismatch).
     pub fn set_sensing(&mut self, sensing: SensingChain) {
-        self.sensing = sensing;
-    }
-
-    /// Fills the caller's tile-geometry buffers with the activated-bitline
-    /// counts of one read: per-tile-column counts first, then one
-    /// [`TileGeometry`] per tile in grid row-major order.
-    fn fill_tile_geometries(
-        &self,
-        activation: &Activation,
-        tiles: &mut Vec<TileGeometry>,
-        tile_activated: &mut Vec<usize>,
-    ) {
-        let plan = self.tiled.plan();
-        let tile_columns = plan.shape().columns;
-        tile_activated.clear();
-        tile_activated.resize(plan.col_tiles(), 0);
-        for &column in activation.active_columns() {
-            tile_activated[column / tile_columns] += 1;
-        }
-        tiles.clear();
-        tiles.extend_from_slice(&self.base_tiles);
-        for (index, tile) in tiles.iter_mut().enumerate() {
-            tile.activated_columns = tile_activated[index % plan.col_tiles()];
-        }
-    }
-
-    /// Resolves one fabric read whose merged currents and tile geometries
-    /// are already in the scratch: the shared tail of the sequential and
-    /// grouped inference paths.
-    fn sense_fabric_step(&self, scratch: &mut EvalScratch) -> Result<InferenceStep> {
-        let col_tiles = self.tiled.plan().col_tiles();
-        match self.sensing.sense_fabric_into(
-            &scratch.currents,
-            &scratch.tiles,
-            col_tiles,
-            &mut scratch.mirrored,
-        ) {
-            Ok(readout) => Ok(InferenceStep {
-                prediction: readout.winner,
-                delay: readout.delay,
-                energy: readout.energy,
-                tie_broken: false,
-            }),
-            Err(CircuitError::AmbiguousWinner { .. }) => {
-                // Same deterministic tie-break as the monolithic backend: the
-                // merged currents are bit-identical to a single array's, so
-                // the broken tie lands on the same winner.
-                let winner = argmax(&scratch.currents).expect("at least one wordline");
-                let delay =
-                    self.sensing
-                        .fabric_delay(&scratch.tiles, col_tiles, scratch.currents.len())?;
-                self.sensing
-                    .mirror()
-                    .copy_all_into(&scratch.currents, &mut scratch.mirrored)?;
-                let energy = self.sensing.fabric_energy(
-                    &scratch.currents,
-                    &scratch.mirrored,
-                    &scratch.tiles,
-                    col_tiles,
-                    delay.total(),
-                )?;
-                Ok(InferenceStep {
-                    prediction: winner,
-                    delay,
-                    energy,
-                    tie_broken: true,
-                })
-            }
-            Err(err) => Err(err.into()),
-        }
-    }
-
-    /// Resolves one packed fabric read whose plane partial sums and tile
-    /// geometries are already in the scratch: the fabric counterpart of the
-    /// monolithic backend's packed sense step, with the same deterministic
-    /// tie-break over the merged currents.
-    fn sense_packed_fabric_step(
-        &self,
-        packed: &PackedRead,
-        scratch: &mut EvalScratch,
-    ) -> Result<InferenceStep> {
-        let col_tiles = self.tiled.plan().col_tiles();
-        match self.sensing.sense_shift_add_fabric_into(
-            &scratch.plane_sums,
-            packed.planes,
-            packed.cell_bits(),
-            packed.lsb_current,
-            packed.floor_current,
-            &scratch.tiles,
-            col_tiles,
-            &mut scratch.currents,
-            &mut scratch.mirrored,
-        ) {
-            Ok(readout) => Ok(InferenceStep {
-                prediction: readout.winner,
-                delay: readout.delay,
-                energy: readout.energy,
-                tie_broken: false,
-            }),
-            Err(CircuitError::AmbiguousWinner { .. }) => {
-                let winner = argmax(&scratch.currents).expect("at least one wordline");
-                let delay = self.sensing.shift_add_fabric_delay(
-                    &scratch.tiles,
-                    col_tiles,
-                    scratch.currents.len(),
-                    packed.planes,
-                )?;
-                self.sensing
-                    .mirror()
-                    .copy_all_into(&scratch.currents, &mut scratch.mirrored)?;
-                let energy = self.sensing.shift_add_fabric_energy(
-                    &scratch.currents,
-                    &scratch.mirrored,
-                    &scratch.tiles,
-                    col_tiles,
-                    packed.planes,
-                    packed.cell_bits(),
-                    delay.total(),
-                )?;
-                Ok(InferenceStep {
-                    prediction: winner,
-                    delay,
-                    energy,
-                    tie_broken: true,
-                })
-            }
-            Err(err) => Err(err.into()),
-        }
+        self.core.sensing = sensing;
     }
 }
 
-impl InferenceBackend for TiledFabricBackend {
-    fn info(&self) -> BackendInfo {
-        BackendInfo {
-            kind: BackendKind::TiledFabric,
-            name: "tiled-fabric",
-            events: self.grid.layout().rows(),
-            columns: self.grid.layout().columns(),
-            tiles: self.tiled.plan().tile_count(),
-        }
-    }
-
-    fn make_scratch(&self) -> EvalScratch {
-        EvalScratch {
-            evidence: Vec::with_capacity(self.quantized.n_features()),
-            activation: Some(Activation::empty(self.grid.layout())),
-            currents: Vec::with_capacity(self.grid.layout().rows()),
-            mirrored: Vec::with_capacity(self.grid.layout().rows()),
-            tiles: Vec::with_capacity(self.base_tiles.len()),
-            tile_activated: Vec::with_capacity(self.tiled.plan().col_tiles()),
-            ..EvalScratch::default()
-        }
-    }
-
-    fn infer_into(&self, sample: &[f64], scratch: &mut EvalScratch) -> Result<InferenceStep> {
-        self.quantized
-            .discretize_sample_into(sample, &mut scratch.evidence)?;
-        if let Some(packed) = &self.packed {
-            {
-                let EvalScratch {
-                    evidence,
-                    activation,
-                    packed_evidence,
-                    bit_offsets,
-                    plane_sums,
-                    level_scratch,
-                    tiles,
-                    tile_activated,
-                    ..
-                } = scratch;
-                let activation =
-                    activation.get_or_insert_with(|| Activation::empty(self.grid.layout()));
-                bit_offsets.clear();
-                packed.fill_observation(
-                    evidence,
-                    self.grid.layout().has_prior(),
-                    packed_evidence,
-                    bit_offsets,
-                );
-                activation.set_observation(self.grid.layout(), packed_evidence)?;
-                self.grid.plane_partial_sums_into(
-                    activation,
-                    bit_offsets,
-                    packed.planes,
-                    &packed.ladder,
-                    level_scratch,
-                    plane_sums,
-                )?;
-                self.fill_tile_geometries(activation, tiles, tile_activated);
-            }
-            return self.sense_packed_fabric_step(packed, scratch);
-        }
-        {
-            let EvalScratch {
-                evidence,
-                activation,
-                currents,
-                tiles,
-                tile_activated,
-                ..
-            } = scratch;
-            let activation =
-                activation.get_or_insert_with(|| Activation::empty(self.grid.layout()));
-            activation.set_observation(self.grid.layout(), evidence)?;
-            self.grid.wordline_currents_into(activation, currents)?;
-            self.fill_tile_geometries(activation, tiles, tile_activated);
-        }
-        self.sense_fabric_step(scratch)
-    }
-
-    fn infer_batch_into(
-        &self,
-        samples: &[Vec<f64>],
-        scratch: &mut EvalScratch,
-        steps: &mut Vec<InferenceStep>,
-    ) -> Result<BatchTelemetry> {
-        steps.clear();
-        if samples.is_empty() {
-            return Ok(BatchTelemetry::empty(true));
-        }
-        if let [sample] = samples {
-            // Singleton fall-through: same contract as the monolithic
-            // backend — a group of one read prices exactly like the read
-            // itself, with none of the batch-scratch copies.
-            let step = self.infer_into(sample, scratch)?;
-            let share = fabric_wordline_driver_energy(
-                self.sensing.energy_model().params(),
-                &self.base_tiles,
-            );
-            let mut group = ReadGroup::new();
-            group.add(&step.delay, &step.energy, share)?;
-            steps.push(step);
-            return Ok(BatchTelemetry::from_group(&group));
-        }
-        if let Some(packed) = &self.packed {
-            // Packed grouped fabric read: same shape as the monolithic
-            // packed batch, with the fabric kernel and fabric pricing.
-            let layout = self.grid.layout();
-            if scratch.batch_activations.len() < samples.len() {
-                let template = Activation::empty(layout);
-                scratch.batch_activations.resize(samples.len(), template);
-            }
-            scratch.bit_offsets.clear();
-            for (index, sample) in samples.iter().enumerate() {
-                self.quantized
-                    .discretize_sample_into(sample, &mut scratch.evidence)?;
-                let EvalScratch {
-                    evidence,
-                    packed_evidence,
-                    bit_offsets,
-                    batch_activations,
-                    ..
-                } = scratch;
-                packed.fill_observation(evidence, layout.has_prior(), packed_evidence, bit_offsets);
-                batch_activations[index].set_observation(layout, packed_evidence)?;
-            }
-            {
-                let EvalScratch {
-                    bit_offsets,
-                    batch_activations,
-                    batch_currents,
-                    level_scratch,
-                    ..
-                } = scratch;
-                self.grid.plane_partial_sums_batch_into(
-                    &batch_activations[..samples.len()],
-                    bit_offsets,
-                    packed.planes,
-                    &packed.ladder,
-                    level_scratch,
-                    batch_currents,
-                )?;
-            }
-            let rows = layout.rows();
-            let stride = rows * packed.planes;
-            let share = fabric_wordline_driver_energy(
-                self.sensing.energy_model().params(),
-                &self.base_tiles,
-            );
-            let mut group = ReadGroup::new();
-            for read in 0..samples.len() {
-                scratch.plane_sums.clear();
-                scratch
-                    .plane_sums
-                    .extend_from_slice(&scratch.batch_currents[read * stride..(read + 1) * stride]);
-                {
-                    let EvalScratch {
-                        batch_activations,
-                        tiles,
-                        tile_activated,
-                        ..
-                    } = scratch;
-                    self.fill_tile_geometries(&batch_activations[read], tiles, tile_activated);
-                }
-                let step = self.sense_packed_fabric_step(packed, scratch)?;
-                group.add(&step.delay, &step.energy, share)?;
-                steps.push(step);
-            }
-            return Ok(BatchTelemetry::from_group(&group));
-        }
-        fill_batch_activations(&self.quantized, self.grid.layout(), samples, scratch)?;
-        self.grid.wordline_currents_batch_into(
-            &scratch.batch_activations[..samples.len()],
-            &mut scratch.batch_currents,
-        )?;
-        let rows = self.grid.layout().rows();
-        let share =
-            fabric_wordline_driver_energy(self.sensing.energy_model().params(), &self.base_tiles);
-        let mut group = ReadGroup::new();
-        for read in 0..samples.len() {
-            scratch.currents.clear();
-            scratch
-                .currents
-                .extend_from_slice(&scratch.batch_currents[read * rows..(read + 1) * rows]);
-            {
-                let EvalScratch {
-                    batch_activations,
-                    tiles,
-                    tile_activated,
-                    ..
-                } = scratch;
-                self.fill_tile_geometries(&batch_activations[read], tiles, tile_activated);
-            }
-            let step = self.sense_fabric_step(scratch)?;
-            group.add(&step.delay, &step.energy, share)?;
-            steps.push(step);
-        }
-        Ok(BatchTelemetry::from_group(&group))
-    }
-
-    fn reprogram(&mut self) -> Result<()> {
-        self.grid
-            .program_matrix(self.tiled.program().levels(), self.programming_mode)?;
-        if self.variation.sigma_vth > 0.0 {
-            let mut rng = VariationModel::seeded_rng(self.variation_seed);
-            self.grid.apply_variation(&self.variation, &mut rng);
-        }
-        Ok(())
-    }
-
-    fn program_cost(&self) -> Option<SwapCost> {
-        let programmer = self.grid.programmer();
-        let mut cost = SwapCost::default();
-        for row in self.tiled.program().levels() {
-            for level in row.iter().flatten() {
-                let state = programmer.state_for_level(*level).ok()?;
-                cost.pulses += u64::from(state.write_config.pulse_count) + 1;
-                cost.energy_j += programmer.write_energy(*level).ok()?;
-            }
-        }
-        Some(cost)
-    }
-
-    fn decommission(&mut self) -> Result<Option<SwapCost>> {
-        let layout = *self.tiled.plan().layout();
-        let outcome = self
-            .grid
-            .erase_region(0..layout.rows(), 0..layout.columns())?;
-        Ok(Some(SwapCost {
-            pulses: outcome.pulses_applied,
-            energy_j: outcome.energy_joules,
-        }))
-    }
-
-    fn current_map_into(&self, out: &mut Vec<f64>) -> Result<()> {
-        self.grid.current_map_into(out);
-        Ok(())
-    }
-
-    fn advance_time(&mut self, ticks: u64) {
-        self.grid.advance_time(ticks);
-        if let Some(schedule) = self.fault_schedule.as_mut() {
-            let now = self.grid.clock();
-            for event in schedule.take_due(now) {
-                // Same out-of-range tolerance as the monolithic backend.
-                let _ = apply_scheduled_grid_fault(
-                    &mut self.grid,
-                    event.row,
-                    event.column,
-                    event.kind,
-                    event.permanent,
-                );
-            }
-        }
-    }
-
-    fn clock(&self) -> u64 {
-        self.grid.clock()
-    }
-
-    fn state_epoch(&self) -> u64 {
-        self.grid.state_epoch()
-    }
-
-    fn worst_effective_shift(&self) -> f64 {
-        self.grid.worst_effective_shift()
-    }
-
-    fn recalibrate(&mut self, max_vth_shift: f64) -> Result<RefreshOutcome> {
-        Ok(self
-            .grid
-            .recalibrate(max_vth_shift, self.programming_mode)?)
-    }
-
-    fn scrub(&mut self, max_vth_shift: f64) -> Result<ScrubOutcome> {
-        Ok(self.grid.scrub(max_vth_shift, self.programming_mode)?)
-    }
-
-    fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
-        self.fault_schedule = Some(schedule);
-    }
-
-    fn pending_faults(&self) -> usize {
-        self.fault_schedule
-            .as_ref()
-            .map_or(0, FaultSchedule::pending)
-    }
-}
+grid_backend!(TiledFabricBackend, BackendKind::TiledFabric, "tiled-fabric");
 
 #[cfg(test)]
 mod tests {

@@ -4,7 +4,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use febim_crossbar::{CrossbarLayout, TilePlan, TileShape};
+use febim_crossbar::{CrossbarError, CrossbarLayout, TilePlan, TileShape};
 use febim_quant::{pack_feature_levels, Encoding, QuantizedGnbc};
 
 use crate::errors::Result;
@@ -131,6 +131,44 @@ pub struct TiledProgram {
 }
 
 impl TiledProgram {
+    /// Places a program on the 1×1 plan of a monolithic array
+    /// ([`TilePlan::whole`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates zero-dimension layouts.
+    pub fn whole(program: CrossbarProgram) -> Result<Self> {
+        let plan = TilePlan::whole(*program.layout())?;
+        Ok(Self { program, plan })
+    }
+
+    /// Checks a decoded program's placement: the layout must be one
+    /// [`CrossbarLayout::new`] accepts, the plan must cover exactly the
+    /// program's layout, and its grid must be the one [`TilePlan::new`]
+    /// derives from that layout and the tile shape. Bytes from outside
+    /// (a registry snapshot) are checked before any tile is addressed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CrossbarError::InvalidLayout`] describing the mismatch.
+    pub fn validate(&self) -> Result<()> {
+        let layout = *self.program.layout();
+        let rebuilt = CrossbarLayout::new(
+            layout.events(),
+            layout.evidence_nodes(),
+            layout.evidence_levels(),
+            layout.has_prior(),
+        )?;
+        let planned = TilePlan::new(layout, self.plan.shape())?;
+        if rebuilt != layout || *self.plan.layout() != layout || planned != self.plan {
+            return Err(CrossbarError::InvalidLayout {
+                reason: "tile plan does not match the program layout".to_string(),
+            }
+            .into());
+        }
+        Ok(())
+    }
+
     /// The underlying (tile-agnostic) crossbar program.
     pub fn program(&self) -> &CrossbarProgram {
         &self.program

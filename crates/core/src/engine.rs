@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use febim_circuit::{DelayBreakdown, InferenceEnergy, SensingChain, TileGeometry};
 use febim_crossbar::{
-    Activation, CrossbarArray, FaultSchedule, RefreshOutcome, ScrubOutcome, TileGrid, TileShape,
+    Activation, FaultSchedule, RefreshOutcome, ScrubOutcome, TileGrid, TileShape,
 };
 
 use febim_bayes::GaussianNaiveBayes;
@@ -194,8 +194,8 @@ impl FebimEngine<CrossbarBackend> {
         self.backend.program()
     }
 
-    /// The programmed crossbar array.
-    pub fn array(&self) -> &CrossbarArray {
+    /// The programmed crossbar array (a 1×1 [`TileGrid`]).
+    pub fn array(&self) -> &TileGrid {
         self.backend.array()
     }
 

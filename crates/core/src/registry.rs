@@ -491,12 +491,17 @@ impl ModelRegistry {
     ///
     /// # Errors
     ///
-    /// [`RegistryError::Snapshot`] for undecodable bytes,
+    /// [`RegistryError::Snapshot`] for undecodable bytes or a tile plan
+    /// that does not match the program's layout,
     /// [`RegistryError::DuplicateModel`] when the embedded id is already
     /// registered, plus placement errors.
     pub fn restore(&self, text: &str) -> Result<TenantPlacement, RegistryError> {
         let snapshot: ModelSnapshot =
             json::from_str(text).map_err(|err| RegistryError::Snapshot(err.to_string()))?;
+        snapshot
+            .program
+            .validate()
+            .map_err(|err| RegistryError::Snapshot(err.to_string()))?;
         let tiles = snapshot.program.plan().tile_count();
         if tiles > self.config.tiles_per_bank {
             return Err(RegistryError::Capacity {
@@ -900,6 +905,39 @@ mod tests {
             restored.restore("{not json"),
             Err(RegistryError::Snapshot(_))
         ));
+    }
+
+    /// A snapshot whose tile plan was tampered with is rejected with a typed
+    /// error before any tile is addressed: a zero-row tile shape, grids too
+    /// small for the layout, and a plan layout that disagrees with the
+    /// program's.
+    #[test]
+    fn tampered_snapshot_plans_are_typed_errors() {
+        let (engine, _, _) = tenant(959);
+        let tiles = engine.tiled_program().plan().tile_count();
+        let registry = ModelRegistry::new(RegistryConfig::new(1, tiles)).unwrap();
+        registry.register_engine(3, engine).unwrap();
+        let snapshot = registry.snapshot(3).unwrap();
+        let plan_at = snapshot.find("\"plan\"").expect("plan field");
+        let tamper = |from: &str, to: &str| {
+            let (head, plan) = snapshot.split_at(plan_at);
+            assert!(plan.contains(from), "{from} not in {plan}");
+            format!("{head}{}", plan.replacen(from, to, 1))
+        };
+        let restored = ModelRegistry::new(RegistryConfig::new(1, tiles)).unwrap();
+        for tampered in [
+            tamper("\"rows\":2", "\"rows\":0"),
+            tamper("\"row_tiles\":2", "\"row_tiles\":0"),
+            tamper("\"col_tiles\":3", "\"col_tiles\":1"),
+            tamper("\"events\":3", "\"events\":0"),
+        ] {
+            assert!(matches!(
+                restored.restore(&tampered),
+                Err(RegistryError::Snapshot(_))
+            ));
+        }
+        // The untampered snapshot still restores.
+        assert_eq!(restored.restore(&snapshot).unwrap().model, 3);
     }
 
     proptest! {

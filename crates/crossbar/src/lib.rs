@@ -6,17 +6,23 @@
 //! activation patterns that select the prior column plus one likelihood
 //! column per evidence node.
 //!
+//! There is one array type, [`TileGrid`]: a monolithic crossbar is the 1×1
+//! grid of a [`TilePlan::whole`] plan, and a model larger than one physical
+//! macro is the same logical array sharded over a grid of fixed-size tiles
+//! (see [`tiling`]).
+//!
 //! # Example
 //!
 //! ```
-//! use febim_crossbar::{Activation, CrossbarArray, CrossbarLayout, ProgrammingMode};
+//! use febim_crossbar::{Activation, CrossbarLayout, ProgrammingMode, TileGrid, TilePlan};
 //! use febim_device::LevelProgrammer;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! // 2 events, 1 evidence node with 4 levels, no prior column.
+//! // 2 events, 1 evidence node with 4 levels, no prior column, held by one
+//! // monolithic array.
 //! let layout = CrossbarLayout::new(2, 1, 4, false)?;
 //! let programmer = LevelProgrammer::febim_default(10)?;
-//! let mut array = CrossbarArray::new(layout, programmer);
+//! let mut array = TileGrid::new(TilePlan::whole(layout)?, programmer);
 //! array.program_cell(0, 2, 9, ProgrammingMode::Ideal)?;
 //! array.program_cell(1, 2, 3, ProgrammingMode::Ideal)?;
 //!
@@ -51,16 +57,16 @@ pub mod read;
 pub mod tiling;
 pub mod write;
 
-pub use array::{CrossbarArray, ProgrammingMode, RebuildStats, RefreshOutcome};
+pub use array::{ProgrammingMode, RebuildStats, RefreshOutcome};
 pub use cell::Cell;
 pub use errors::{CrossbarError, Result};
 pub use fault::{
-    apply_fault, apply_grid_fault, apply_scheduled_fault, apply_scheduled_grid_fault, FaultKind,
-    FaultModel, FaultReport, FaultSchedule, InjectedFault, ScheduledFault, ScrubOutcome,
+    apply_fault, apply_scheduled_fault, FaultKind, FaultModel, FaultReport, FaultSchedule,
+    InjectedFault, ScheduledFault, ScrubOutcome,
 };
 pub use layout::{ColumnRole, CrossbarLayout};
 pub use read::{Activation, LevelLadder};
-pub use tiling::{GridRebuildStats, RegionWriteOutcome, TileGrid, TilePlan, TileShape};
+pub use tiling::{RegionWriteOutcome, TileGrid, TilePlan, TileShape};
 pub use write::WriteScheme;
 
 // Re-exported so downstream crates can configure arrays without a direct
@@ -76,7 +82,7 @@ mod proptests {
 
     /// Programs a random level matrix (with random erased holes) drawn from
     /// the given RNG.
-    fn program_random<R: Rng>(array: &mut CrossbarArray, rng: &mut R) {
+    fn program_random<R: Rng>(array: &mut TileGrid, rng: &mut R) {
         let rows = array.layout().rows();
         let columns = array.layout().columns();
         let levels: Vec<Vec<Option<usize>>> = (0..rows)
@@ -102,7 +108,7 @@ mod proptests {
     /// pattern, and for every activation prefix length up to nine columns —
     /// the latter walks the 4-lane kernel through every `chunks_exact(4)`
     /// remainder case (0–3 trailing columns) on both full and partial lanes.
-    fn assert_reads_match<R: Rng>(array: &CrossbarArray, rng: &mut R) {
+    fn assert_reads_match<R: Rng>(array: &TileGrid, rng: &mut R) {
         let nodes = array.layout().evidence_nodes();
         let levels = array.layout().evidence_levels();
         let evidence: Vec<usize> = (0..nodes)
@@ -163,13 +169,13 @@ mod proptests {
         fn higher_levels_give_higher_currents(level_low in 0usize..9) {
             let layout = CrossbarLayout::new(1, 1, 2, false).unwrap();
             let programmer = LevelProgrammer::febim_default(10).unwrap();
-            let mut low = CrossbarArray::new(layout, programmer.clone());
-            let mut high = CrossbarArray::new(layout, programmer);
+            let mut low = TileGrid::new(TilePlan::whole(layout).unwrap(), programmer.clone());
+            let mut high = TileGrid::new(TilePlan::whole(layout).unwrap(), programmer);
             low.program_cell(0, 0, level_low, ProgrammingMode::Ideal).unwrap();
             high.program_cell(0, 0, level_low + 1, ProgrammingMode::Ideal).unwrap();
             let activation = Activation::from_columns(low.layout(), &[0]).unwrap();
-            let current_low = low.wordline_current(0, &activation).unwrap();
-            let current_high = high.wordline_current(0, &activation).unwrap();
+            let current_low = low.wordline_currents(&activation).unwrap()[0];
+            let current_high = high.wordline_currents(&activation).unwrap()[0];
             prop_assert!(current_high > current_low);
         }
 
@@ -182,14 +188,14 @@ mod proptests {
             let nodes = levels.len();
             let layout = CrossbarLayout::new(1, nodes, 1, false).unwrap();
             let programmer = LevelProgrammer::febim_default(10).unwrap();
-            let mut array = CrossbarArray::new(layout, programmer);
+            let mut array = TileGrid::new(TilePlan::whole(layout).unwrap(), programmer);
             let mut expected = 0.0;
             for (column, &level) in levels.iter().enumerate() {
                 array.program_cell(0, column, level, ProgrammingMode::Ideal).unwrap();
                 expected += array.cell(0, column).unwrap().read_current_on();
             }
             let activation = Activation::all_columns(array.layout());
-            let measured = array.wordline_current(0, &activation).unwrap();
+            let measured = array.wordline_currents(&activation).unwrap()[0];
             prop_assert!((measured - expected).abs() / expected < 1e-6);
         }
 
@@ -208,7 +214,7 @@ mod proptests {
         ) {
             let layout = CrossbarLayout::new(events, nodes, levels_per_node, has_prior).unwrap();
             let programmer = LevelProgrammer::febim_default(10).unwrap();
-            let mut array = CrossbarArray::new(layout, programmer);
+            let mut array = TileGrid::new(TilePlan::whole(layout).unwrap(), programmer);
             let mut rng = VariationModel::seeded_rng(program_seed);
 
             // Freshly programmed array.
@@ -252,7 +258,7 @@ mod proptests {
         ) {
             let layout = CrossbarLayout::new(events, nodes, levels_per_node, has_prior).unwrap();
             let programmer = LevelProgrammer::febim_default(10).unwrap();
-            let mut array = CrossbarArray::new(layout, programmer);
+            let mut array = TileGrid::new(TilePlan::whole(layout).unwrap(), programmer);
             let mut rng = VariationModel::seeded_rng(program_seed);
             program_random(&mut array, &mut rng);
             let variation = VariationModel::from_millivolts(sigma_mv);
@@ -295,8 +301,8 @@ mod proptests {
             }
         }
 
-        /// A tiled fabric holding the same program as a monolithic array
-        /// produces bit-for-bit identical wordline currents across random
+        /// A multi-tile grid holding the same program as the 1×1 grid of
+        /// the same layout produces bit-for-bit identical wordline currents across random
         /// layouts, tile shapes, programs and device variations, and both
         /// agree with the uncached fabric reference oracle.
         #[test]
@@ -316,7 +322,7 @@ mod proptests {
             let plan = TilePlan::new(layout, shape).unwrap();
             let programmer = LevelProgrammer::febim_default(10).unwrap();
             let mut grid = TileGrid::new(plan, programmer.clone());
-            let mut array = CrossbarArray::new(layout, programmer);
+            let mut array = TileGrid::new(TilePlan::whole(layout).unwrap(), programmer);
 
             // Identical random program on both fabrics.
             let mut rng = VariationModel::seeded_rng(program_seed);
@@ -348,7 +354,7 @@ mod proptests {
             }
 
             // Every activation length up to nine columns keeps the fabric in
-            // lockstep with the monolithic array through all 4-lane
+            // lockstep with the 1×1 grid through all 4-lane
             // remainder cases.
             for active in 0..=layout.columns().min(9) {
                 let picks: Vec<usize> =
@@ -376,7 +382,7 @@ mod proptests {
 
         /// Under a randomized schedule of drift ticks, reads (disturb-tier
         /// crossings), reprogramming and recalibration passes, the
-        /// epoch-versioned caches of both the monolithic array and the tiled
+        /// epoch-versioned caches of both the 1×1 grid and the multi-tile
         /// fabric stay bit-for-bit identical to the uncached reference
         /// oracles — and to each other — for every non-ideality
         /// configuration (IR-drop, retention drift, read disturb, and their
@@ -402,7 +408,7 @@ mod proptests {
                 .with_disturb(ReadDisturb::new(reads_per_tier, disturb_millivolts * 1e-3));
             let programmer = LevelProgrammer::febim_default(10).unwrap();
             let mut array =
-                CrossbarArray::with_non_idealities(layout, programmer.clone(), stack).unwrap();
+                TileGrid::with_non_idealities(TilePlan::whole(layout).unwrap(), programmer.clone(), stack).unwrap();
             let plan =
                 TilePlan::new(layout, TileShape::new(tile_rows, tile_columns).unwrap()).unwrap();
             let mut grid = TileGrid::with_non_idealities(plan, programmer, stack).unwrap();
@@ -520,7 +526,7 @@ mod proptests {
                 } else {
                     FaultKind::StuckProgrammed
                 };
-                apply_scheduled_grid_fault(&mut grid, row, column, kind, true).unwrap();
+                apply_scheduled_fault(&mut grid, row, column, kind, true).unwrap();
             }
 
             // A tight tolerance: healthy cells sit exactly on target under
@@ -546,7 +552,7 @@ mod proptests {
         }
 
         /// Packed bit-plane reads are bit-identical across the cached
-        /// monolithic kernel, the cached tiled fabric (including through a
+        /// 1×1 grid, the cached multi-tile grid (including through a
         /// spare-row remap after scrub), their uncached reference oracles,
         /// and an independent in-test unpack oracle computed from the public
         /// per-cell read currents — for random bit widths (1–8), plane
@@ -575,7 +581,7 @@ mod proptests {
             let planes = planes_hint.min(bits as usize);
             let stack = NonIdealityStack::ideal().with_wire(WireResistance::uniform(wire_ohm));
             let mut array =
-                CrossbarArray::with_non_idealities(layout, programmer.clone(), stack).unwrap();
+                TileGrid::with_non_idealities(TilePlan::whole(layout).unwrap(), programmer.clone(), stack).unwrap();
             let shape = TileShape::new(tile_rows, tile_columns)
                 .unwrap()
                 .with_spare_rows(tile_rows);
@@ -585,7 +591,7 @@ mod proptests {
             // An ideal-stack twin whose cell currents are publicly readable:
             // the independent unpack oracle below digitizes those directly,
             // keeping the check decoupled from the shared kernel helper.
-            let mut ideal = CrossbarArray::new(layout, programmer);
+            let mut ideal = TileGrid::new(TilePlan::whole(layout).unwrap(), programmer);
 
             let mut rng = VariationModel::seeded_rng(program_seed);
             let levels: Vec<Vec<Option<usize>>> = (0..layout.rows())
@@ -603,7 +609,7 @@ mod proptests {
             // the fabric through a spare row; packed reads must not notice.
             let fault_row = (rng.gen::<u64>() as usize) % layout.rows();
             let fault_col = (rng.gen::<u64>() as usize) % layout.columns();
-            apply_scheduled_grid_fault(
+            apply_scheduled_fault(
                 &mut grid,
                 fault_row,
                 fault_col,

@@ -1,4 +1,5 @@
-//! Tiled multi-array crossbar fabric.
+//! The FeFET crossbar fabric: one logical array held by one or more
+//! fixed-size physical tiles.
 //!
 //! A physical FeFET macro has a fixed tile size; a Bayesian model whose
 //! logical layout exceeds it must be sharded across a grid of tiles —
@@ -7,40 +8,37 @@
 //! module provides:
 //!
 //! * [`TileShape`] — the fixed physical tile geometry,
-//! * [`TilePlan`] — the mapping of a [`CrossbarLayout`] onto a tile grid,
-//! * [`TileGrid`] — the programmed fabric itself: one cell bank and one
-//!   conductance cache per tile, plus a fabric-level partial-sum path that
-//!   merges per-tile wordline currents.
+//! * [`TilePlan`] — the mapping of a [`CrossbarLayout`] onto a tile grid
+//!   ([`TilePlan::whole`] is the 1×1 plan of a monolithic array),
+//! * [`TileGrid`] — the programmed fabric itself: one cell bank per tile and
+//!   one conductance cache over the stitched logical array.
 //!
 //! ## Bit-exactness
 //!
-//! The fabric read path is floating-point identical to a monolithic
-//! [`CrossbarArray`](crate::CrossbarArray) holding the same program **and
-//! the same non-ideality stack**: cells are programmed identically (so
-//! per-cell on/off currents match), non-idealities are evaluated in global
-//! coordinates (the fabric models the stitched logical array, so a cell's
-//! IR-drop position, retention age and wordline read count are the same
-//! whether the array is monolithic or sharded), the fabric-level row
-//! off-sums are accumulated cell by cell in global column order (the exact
-//! order the monolithic conductance cache uses), and the activated-column
-//! deltas are gathered from a fabric-level delta matrix (assembled in
-//! global column order from the per-tile caches) through the exact same
-//! committed 4-lane reduction as the monolithic kernel (see
-//! [`crate::cache`]'s module docs). Equivalence is proptest-enforced in
-//! this crate and at engine level.
+//! Every tiling of the same layout reads floating-point identically, given
+//! the same program **and the same non-ideality stack**: cells are
+//! programmed identically (so per-cell on/off currents match),
+//! non-idealities are evaluated in global coordinates (a cell's IR-drop
+//! position, retention age and wordline read count do not depend on how the
+//! array is sharded), and the conductance cache is kept in global row-major
+//! order — row off-sums accumulated cell by cell in global column order,
+//! activated-column deltas gathered through the committed 4-lane reduction
+//! (see [`crate::cache`]'s module docs). A multi-tile grid therefore reads
+//! bit for bit like the 1×1 grid of the same layout; equivalence is
+//! proptest-enforced in this crate and at engine level.
 //!
-//! ## Tile-granular cache epochs
+//! ## Cell-granular cache epochs
 //!
-//! The fabric versions its derived state like the monolithic array does,
-//! but dirtiness is tracked **per tile**: mutating one cell (or crossing a
-//! read-disturb tier on one wordline) only marks the owning tiles stale, so
-//! bringing the fabric cache current rebuilds those tiles and re-stitches
-//! their global rows — one drifted tile does not invalidate the whole grid.
+//! The fabric versions its derived state with one dirty tracker over the
+//! logical array (see [`crate::array`]): mutating one cell (or crossing a
+//! read-disturb tier on one wordline) marks only that cell (or row) stale,
+//! so bringing the cache current re-evaluates those cells and re-accumulates
+//! their rows — one drifted tile does not invalidate the whole grid.
 //!
-//! The one intentional divergence is [`ProgrammingMode::PulseTrain`]
-//! disturb: half-bias inhibit pulses only reach the rows of the tile being
-//! written — tiles are physically separate arrays — whereas a monolithic
-//! array disturbs every other row of the column.
+//! [`ProgrammingMode::PulseTrain`] disturb follows the physical tiles:
+//! half-bias inhibit pulses reach the other rows of the written tile only,
+//! because tiles are physically separate arrays. In a 1×1 grid that is
+//! every other row of the column.
 
 use std::cell::RefCell;
 use std::ops::Range;
@@ -52,7 +50,7 @@ use febim_device::{
     CellContext, DeviceError, LevelProgrammer, NonIdealityStack, ProgrammedState, VariationModel,
 };
 
-use crate::array::{ProgrammingMode, RefreshOutcome};
+use crate::array::{DirtyState, ProgrammingMode, RebuildStats, RefreshOutcome};
 use crate::cache::{lane_delta_sum, row_plane_partials, ConductanceCache};
 use crate::cell::Cell;
 use crate::errors::{CrossbarError, Result};
@@ -165,6 +163,16 @@ impl TilePlan {
         self.col_tiles
     }
 
+    /// The 1×1 plan of a monolithic array: one tile the size of the whole
+    /// layout.
+    ///
+    /// # Errors
+    ///
+    /// Propagates zero-dimension layouts.
+    pub fn whole(layout: CrossbarLayout) -> Result<Self> {
+        Self::new(layout, TileShape::new(layout.rows(), layout.columns())?)
+    }
+
     /// Total number of tiles in the grid.
     pub fn tile_count(&self) -> usize {
         self.row_tiles * self.col_tiles
@@ -245,18 +253,6 @@ impl TilePlan {
     }
 }
 
-/// Cache maintenance counters of a tiled fabric (the tile-granular analogue
-/// of [`crate::RebuildStats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
-pub struct GridRebuildStats {
-    /// Times the whole fabric cache was rebuilt from scratch.
-    pub full_rebuilds: u64,
-    /// Individual tiles rebuilt by partial refreshes.
-    pub tile_rebuilds: u64,
-    /// Total cells whose on/off currents were re-evaluated.
-    pub cells_recomputed: u64,
-}
-
 /// Cost of one region-scoped fabric write ([`TileGrid::program_region`] /
 /// [`TileGrid::erase_region`]): the pulse trains applied and their energy,
 /// priced through the Preisach programming model like every other write.
@@ -315,85 +311,20 @@ impl Tile {
     }
 }
 
-/// Which tiles changed since the fabric cache last matched the state epoch.
-#[derive(Debug, Clone, PartialEq)]
-enum GridDirty {
-    /// Nothing: the cache (if built) is current.
-    Clean,
-    /// Only the listed tile indices hold stale conductances.
-    Tiles(Vec<usize>),
-    /// Every tile is stale.
-    All,
-}
-
-impl Default for GridDirty {
-    /// A deserialized grid arrives without its fabric cache (the cache
-    /// fields are `#[serde(skip)]`), so the bookkeeping starts fully stale.
-    fn default() -> Self {
-        GridDirty::All
-    }
-}
-
-impl GridDirty {
-    /// Marks one tile stale, degrading to `All` when at least half the grid
-    /// is already dirty (re-stitching then costs as much as a full build).
-    ///
-    /// Only **distinct** tiles count towards the degradation threshold:
-    /// re-marking an already-dirty tile (per-cell programming loops hit the
-    /// same tile hundreds of times) must not force a full fabric rebuild
-    /// while the rest of the grid is clean.
-    fn mark_tile(&mut self, index: usize, tile_count: usize) {
-        let overflow = match self {
-            GridDirty::All => false,
-            GridDirty::Clean => {
-                *self = GridDirty::Tiles(vec![index]);
-                tile_count <= 1
-            }
-            GridDirty::Tiles(tiles) => {
-                if !tiles.contains(&index) {
-                    tiles.push(index);
-                }
-                tiles.len() * 2 >= tile_count
-            }
-        };
-        if overflow {
-            *self = GridDirty::All;
-        }
-    }
-}
-
-/// Derived read state of the fabric: one conductance cache per tile, the
-/// fabric-level row off-sums (accumulated in global column order so merged
-/// reads are bit-identical to a monolithic array's), and a fabric-level
-/// on/off delta matrix in global row-major order — the contiguous gather
-/// target that lets a merged read run the exact same 4-lane kernel as a
-/// monolithic array, with no per-column tile translation on the hot path.
-#[derive(Debug, Clone)]
-struct FabricCache {
-    tiles: Vec<ConductanceCache>,
-    row_off_sums: Vec<f64>,
-    /// `delta[row * layout.columns() + column]`, bit-identical per cell to
-    /// the monolithic cache's deltas (same device-model evaluations).
-    delta: Vec<f64>,
-    columns: usize,
-}
-
-impl FabricCache {
-    /// The global-order delta slice of one fabric row.
-    fn row_deltas(&self, row: usize) -> &[f64] {
-        let base = row * self.columns;
-        &self.delta[base..base + self.columns]
-    }
-}
-
-/// A programmed tiled crossbar fabric.
+/// A programmed FeFET crossbar fabric: one or more physical tiles holding
+/// one logical array.
 ///
 /// Rows are sharded across tile rows (each tile row senses a subset of the
 /// events), columns across tile columns (each tile accumulates a partial
-/// sum over its evidence columns). The fabric read path merges the per-tile
-/// partial wordline currents into full log-posterior currents; see the
-/// module docs for the bit-exactness guarantee and the tile-granular cache
-/// epoch scheme.
+/// sum over its evidence columns); a [`TilePlan::whole`] plan makes it a
+/// single monolithic array. Reads go through an epoch-versioned conductance
+/// cache in logical coordinates (see [`crate::array`]): the device I-V model
+/// is evaluated per cell only when that cell's state changed, and every
+/// [`TileGrid::wordline_currents`] call is a sparse accumulation over the
+/// activated columns only. The uncached
+/// [`TileGrid::wordline_currents_reference`] path re-evaluates the device
+/// model — including the configured [`NonIdealityStack`] — on every call and
+/// serves as the equivalence oracle.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TileGrid {
     plan: TilePlan,
@@ -410,26 +341,29 @@ pub struct TileGrid {
     /// Per-global-wordline read counters. Skipped by serialization.
     #[serde(skip)]
     row_reads: ReadCounters,
-    /// Monotonic version of the fabric's physical state.
+    /// Monotonic version of the fabric's physical state; bumped by every
+    /// mutation that can change a read current.
     #[serde(skip)]
     state_epoch: std::cell::Cell<u64>,
     /// The state epoch the cache was last brought up to date with.
     #[serde(skip)]
     cache_epoch: std::cell::Cell<u64>,
-    /// Which tiles changed between `cache_epoch` and `state_epoch`.
+    /// Which cells changed between `cache_epoch` and `state_epoch`.
     #[serde(skip)]
-    dirty: RefCell<GridDirty>,
+    dirty: RefCell<DirtyState>,
     /// Cache maintenance counters.
     #[serde(skip)]
-    stats: std::cell::Cell<GridRebuildStats>,
-    /// Derived state: `None` means never built. Skipped by serialization and
-    /// ignored by equality.
+    stats: std::cell::Cell<RebuildStats>,
+    /// Derived state in global row-major order: `None` means never built.
+    /// Skipped by serialization and ignored by equality.
     #[serde(skip)]
-    cache: RefCell<Option<FabricCache>>,
+    cache: RefCell<Option<ConductanceCache>>,
 }
 
 impl PartialEq for TileGrid {
     fn eq(&self, other: &Self) -> bool {
+        // The conductance cache, dirty set and epochs are derived state; two
+        // fabrics are equal when their physical state is.
         self.plan == other.plan
             && self.programmer == other.programmer
             && self.write_scheme == other.write_scheme
@@ -445,6 +379,8 @@ impl TileGrid {
     /// Creates an erased, ideal (no non-idealities) fabric for the given
     /// plan and level programmer.
     pub fn new(plan: TilePlan, programmer: LevelProgrammer) -> Self {
+        // Build one template cell and clone it, instead of cloning the device
+        // parameter struct once per cell.
         let template = Cell::new(programmer.params().clone());
         let tiles = (0..plan.row_tiles())
             .flat_map(|tile_row| (0..plan.col_tiles()).map(move |tile_col| (tile_row, tile_col)))
@@ -472,8 +408,8 @@ impl TileGrid {
             row_reads: ReadCounters::new(plan.layout().rows()),
             state_epoch: std::cell::Cell::new(0),
             cache_epoch: std::cell::Cell::new(0),
-            dirty: RefCell::new(GridDirty::All),
-            stats: std::cell::Cell::new(GridRebuildStats::default()),
+            dirty: RefCell::new(DirtyState::All),
+            stats: std::cell::Cell::new(RebuildStats::default()),
             cache: RefCell::new(None),
         }
     }
@@ -544,8 +480,10 @@ impl TileGrid {
         self.clock
     }
 
-    /// Advances the fabric clock by `ticks` (ages every cell when a
-    /// retention-drift model is configured).
+    /// Advances the fabric clock by `ticks`. With a retention-drift model
+    /// configured this ages every cell, so the whole cache goes stale (one
+    /// epoch bump, one full rebuild on the next read); without one the clock
+    /// still advances but no conductance changes.
     pub fn advance_time(&mut self, ticks: u64) {
         if ticks == 0 {
             return;
@@ -556,28 +494,31 @@ impl TileGrid {
         }
     }
 
-    /// Monotonic version of the fabric's physical state.
+    /// Monotonic version of the fabric's physical state. Two equal epochs
+    /// guarantee no read-current-affecting mutation happened in between.
     pub fn state_epoch(&self) -> u64 {
         self.state_epoch.get()
     }
 
     /// Cache maintenance counters accumulated since construction.
-    pub fn rebuild_stats(&self) -> GridRebuildStats {
+    pub fn rebuild_stats(&self) -> RebuildStats {
         self.stats.get()
     }
 
-    /// Reads accumulated by one global wordline since its last refresh.
+    /// Reads accumulated by one global wordline since its last refresh
+    /// (zero unless a read-disturb model is configured).
     ///
     /// # Errors
     ///
     /// Returns [`CrossbarError::IndexOutOfBounds`] for a bad row.
     pub fn row_reads(&self, row: usize) -> Result<u64> {
-        if row >= self.plan.layout().rows() {
+        let layout = self.plan.layout();
+        if row >= layout.rows() {
             return Err(CrossbarError::IndexOutOfBounds {
                 row,
                 column: 0,
-                rows: self.plan.layout().rows(),
-                columns: self.plan.layout().columns(),
+                rows: layout.rows(),
+                columns: layout.columns(),
             });
         }
         Ok(self.row_reads.get(row))
@@ -588,35 +529,37 @@ impl TileGrid {
     }
 
     fn mark_all(&mut self) {
-        *self.dirty.get_mut() = GridDirty::All;
+        *self.dirty.get_mut() = DirtyState::All;
         self.bump_epoch();
     }
 
-    fn mark_tile(&mut self, tile_index: usize) {
+    fn mark_cell(&mut self, row: usize, column: usize) {
+        let layout = *self.plan.layout();
+        self.dirty.get_mut().mark_cell(
+            row * layout.columns() + column,
+            layout.cells(),
+            layout.columns(),
+        );
+        self.bump_epoch();
+    }
+
+    fn mark_row(&self, row: usize) {
+        let layout = self.plan.layout();
         self.dirty
-            .get_mut()
-            .mark_tile(tile_index, self.plan.tile_count());
+            .borrow_mut()
+            .mark_row(row, layout.cells(), layout.columns());
         self.bump_epoch();
     }
 
-    /// Registers one read of a global wordline; a disturb-tier crossing
-    /// makes every tile of the row's tile row stale.
+    /// Registers one read of a global wordline for the disturb model; a
+    /// tier crossing makes the row's conductances stale.
     fn note_row_read(&self, row: usize) {
         if !self.stack.tracks_reads() {
             return;
         }
         let (before, after) = self.row_reads.bump(row);
         if self.stack.read_tier(before) != self.stack.read_tier(after) {
-            let tile_row = row / self.plan.shape().rows;
-            let mut dirty = self.dirty.borrow_mut();
-            for tile_col in 0..self.plan.col_tiles() {
-                dirty.mark_tile(
-                    tile_row * self.plan.col_tiles() + tile_col,
-                    self.plan.tile_count(),
-                );
-            }
-            drop(dirty);
-            self.bump_epoch();
+            self.mark_row(row);
         }
     }
 
@@ -635,10 +578,13 @@ impl TileGrid {
         }
     }
 
-    /// The single per-cell evaluation point (global coordinates), shared by
-    /// tile cache builds, partial tile refreshes and the uncached reference
-    /// oracle — bit-identical to
-    /// [`CrossbarArray`](crate::CrossbarArray)'s under the same stack.
+    /// The single per-cell evaluation point: `(on, off)` read currents under
+    /// the configured non-ideality stack, in global coordinates. Cache
+    /// builds, partial refreshes and the uncached reference oracles all
+    /// funnel through this function, so cached and reference reads can never
+    /// diverge. An ideal stack takes the unshifted fast path, which is
+    /// bit-identical to evaluating with a zero shift and a unit current
+    /// factor.
     fn evaluate_cell(&self, row: usize, column: usize) -> (f64, f64) {
         let cell = self.cell(row, column).expect("in-range indices");
         if self.stack.is_ideal() {
@@ -655,121 +601,101 @@ impl TileGrid {
         )
     }
 
-    /// Builds one tile's conductance cache by evaluating the shared
-    /// per-cell evaluation point at the tile's global coordinates.
-    fn build_tile_cache(&self, tile_index: usize) -> ConductanceCache {
-        let col_tiles = self.plan.col_tiles();
-        let shape = self.plan.shape();
-        let row_base = (tile_index / col_tiles) * shape.rows;
-        let col_base = (tile_index % col_tiles) * shape.columns;
-        let tile = &self.tiles[tile_index];
-        ConductanceCache::build_with(tile.rows, tile.columns, |local_row, local_col| {
-            self.evaluate_cell(row_base + local_row, col_base + local_col)
-        })
-    }
-
-    /// Re-stitches the fabric-level off-sum and delta row of one global row
-    /// from the per-tile caches, in global column order — the exact
-    /// accumulation a full stitch uses, so a partial re-stitch is
-    /// bit-identical.
-    fn restitch_row(&self, cache: &mut FabricCache, row: usize) {
-        let shape = self.plan.shape();
-        let col_tiles = self.plan.col_tiles();
-        let tile_row = row / shape.rows;
-        let local_row = row % shape.rows;
-        let mut accumulator = 0.0;
-        let mut base = row * cache.columns;
-        for tile_col in 0..col_tiles {
-            let tile = &cache.tiles[tile_row * col_tiles + tile_col];
-            tile.accumulate_row_off(local_row, &mut accumulator);
-            let deltas = tile.row_deltas(local_row);
-            cache.delta[base..base + deltas.len()].copy_from_slice(deltas);
-            base += deltas.len();
-        }
-        cache.row_off_sums[row] = accumulator;
-    }
-
-    /// Brings the fabric cache up to the current state epoch: dirty tiles
-    /// are rebuilt and their global rows re-stitched; a full rebuild runs
-    /// when everything is stale (or nothing is cached yet).
+    /// Brings the conductance cache up to the current state epoch: a sparse
+    /// patch when the dirty set is sparse (recompute the dirty cells, then
+    /// re-accumulate the touched rows' off-sums in full global column order
+    /// — bit identical to a full rebuild), a full rebuild otherwise.
     fn ensure_cache(&self) {
         if self.cache_epoch.get() == self.state_epoch.get() && self.cache.borrow().is_some() {
             return;
         }
+        let layout = *self.plan.layout();
+        let columns = layout.columns();
         let mut slot = self.cache.borrow_mut();
         let mut dirty = self.dirty.borrow_mut();
         let mut stats = self.stats.get();
         let patched = match (slot.as_mut(), &mut *dirty) {
-            (Some(cache), GridDirty::Tiles(tiles)) => {
-                tiles.sort_unstable();
-                tiles.dedup();
-                let mut tile_rows: Vec<usize> = Vec::with_capacity(tiles.len());
-                for &tile_index in tiles.iter() {
-                    cache.tiles[tile_index] = self.build_tile_cache(tile_index);
-                    stats.tile_rebuilds += 1;
-                    let tile = &self.tiles[tile_index];
-                    stats.cells_recomputed += (tile.rows * tile.columns) as u64;
-                    tile_rows.push(tile_index / self.plan.col_tiles());
-                }
-                tile_rows.sort_unstable();
-                tile_rows.dedup();
-                for &tile_row in &tile_rows {
-                    for row in self.plan.tile_row_range(tile_row).expect("in-grid tile") {
-                        self.restitch_row(cache, row);
+            (Some(cache), DirtyState::Sparse { cells, rows }) => {
+                rows.sort_unstable();
+                rows.dedup();
+                cells.sort_unstable();
+                cells.dedup();
+                let mut recomputed = 0u64;
+                let mut touched_rows = rows.clone();
+                let mut touched_tiles = Vec::new();
+                for &row in rows.iter() {
+                    for column in 0..columns {
+                        let (on, off) = self.evaluate_cell(row, column);
+                        cache.refresh_cell(row, column, on, off);
+                        recomputed += 1;
                     }
+                    let first = (row / self.plan.shape().rows) * self.plan.col_tiles();
+                    touched_tiles.extend(first..first + self.plan.col_tiles());
                 }
+                for &index in cells.iter() {
+                    let row = index / columns;
+                    if rows.binary_search(&row).is_ok() {
+                        continue; // already refreshed with its whole row
+                    }
+                    let column = index % columns;
+                    let (on, off) = self.evaluate_cell(row, column);
+                    cache.refresh_cell(row, column, on, off);
+                    recomputed += 1;
+                    touched_rows.push(row);
+                    touched_tiles.push(self.tile_index(row, column));
+                }
+                touched_rows.sort_unstable();
+                touched_rows.dedup();
+                for &row in &touched_rows {
+                    cache.recompute_row_off_sum(row);
+                }
+                touched_tiles.sort_unstable();
+                touched_tiles.dedup();
+                stats.partial_refreshes += 1;
+                stats.tile_rebuilds += touched_tiles.len() as u64;
+                stats.cells_recomputed += recomputed;
                 true
             }
             _ => false,
         };
         if !patched {
-            let tile_caches: Vec<ConductanceCache> = (0..self.tiles.len())
-                .map(|tile_index| self.build_tile_cache(tile_index))
-                .collect();
-            // Fabric row off-sums accumulate across tile columns cell by
-            // cell, in global column order — the same floating-point
-            // accumulation order as a monolithic array's conductance cache.
-            // The fabric delta matrix is stitched together in the same
-            // global order, so per-cell deltas are the very values a
-            // monolithic cache would hold.
-            let layout = *self.plan.layout();
-            let mut row_off_sums = Vec::with_capacity(layout.rows());
-            let mut delta = Vec::with_capacity(layout.cells());
-            for row in 0..layout.rows() {
-                let tile_row = row / self.plan.shape().rows;
-                let local_row = row % self.plan.shape().rows;
-                let mut accumulator = 0.0;
-                for tile_col in 0..self.plan.col_tiles() {
-                    let tile = &tile_caches[tile_row * self.plan.col_tiles() + tile_col];
-                    tile.accumulate_row_off(local_row, &mut accumulator);
-                    delta.extend_from_slice(tile.row_deltas(local_row));
-                }
-                row_off_sums.push(accumulator);
-            }
-            *slot = Some(FabricCache {
-                tiles: tile_caches,
-                row_off_sums,
-                delta,
-                columns: layout.columns(),
-            });
+            *slot = Some(ConductanceCache::build_with(
+                layout.rows(),
+                columns,
+                |row, column| self.evaluate_cell(row, column),
+            ));
             stats.full_rebuilds += 1;
             stats.cells_recomputed += layout.cells() as u64;
         }
         self.stats.set(stats);
-        *dirty = GridDirty::Clean;
+        *dirty = DirtyState::Clean;
         self.cache_epoch.set(self.state_epoch.get());
     }
 
-    /// Runs `reader` against an up-to-date fabric cache.
-    fn with_cache<T>(&self, reader: impl FnOnce(&FabricCache) -> T) -> T {
+    /// Runs `reader` against an up-to-date conductance cache.
+    fn with_cache<T>(&self, reader: impl FnOnce(&ConductanceCache) -> T) -> T {
         self.ensure_cache();
         let slot = self.cache.borrow();
         reader(slot.as_ref().expect("cache ensured"))
     }
 
-    fn tile_index_of(&self, row: usize, column: usize) -> Result<usize> {
-        let (tile_row, tile_col) = self.plan.tile_of(row, column)?;
-        Ok(tile_row * self.plan.col_tiles() + tile_col)
+    /// Grid index of the tile owning an in-range global coordinate.
+    fn tile_index(&self, row: usize, column: usize) -> usize {
+        let shape = self.plan.shape();
+        (row / shape.rows) * self.plan.col_tiles() + column / shape.columns
+    }
+
+    /// The owning tile and the physical cell index inside it of an in-range
+    /// global coordinate.
+    fn locate(&self, row: usize, column: usize) -> (usize, usize) {
+        let shape = self.plan.shape();
+        let tile_index = self.tile_index(row, column);
+        let local = self.tiles[tile_index].index(row % shape.rows, column % shape.columns);
+        (tile_index, local)
+    }
+
+    fn check_cell(&self, row: usize, column: usize) -> Result<()> {
+        self.plan.tile_of(row, column).map(|_| ())
     }
 
     /// Borrow a cell by its global coordinates.
@@ -778,38 +704,35 @@ impl TileGrid {
     ///
     /// Returns [`CrossbarError::IndexOutOfBounds`] outside the layout.
     pub fn cell(&self, row: usize, column: usize) -> Result<&Cell> {
-        let tile_index = self.tile_index_of(row, column)?;
-        let tile = &self.tiles[tile_index];
-        let local = tile.index(
-            row % self.plan.shape().rows,
-            column % self.plan.shape().columns,
-        );
-        Ok(&tile.cells[local])
+        self.check_cell(row, column)?;
+        let (tile_index, local) = self.locate(row, column);
+        Ok(&self.tiles[tile_index].cells[local])
     }
 
-    /// Mutably borrow a cell by its global coordinates; marks the owning
-    /// tile stale up front, so the next read rebuilds only that tile.
+    /// Mutably borrow a cell by its global coordinates.
+    ///
+    /// Only the touched cell is marked stale, so the next read recomputes
+    /// one cell (plus its row's off-sum), not the whole array.
     ///
     /// # Errors
     ///
     /// Returns [`CrossbarError::IndexOutOfBounds`] outside the layout.
     pub fn cell_mut(&mut self, row: usize, column: usize) -> Result<&mut Cell> {
-        let tile_index = self.tile_index_of(row, column)?;
-        self.mark_tile(tile_index);
-        let shape = self.plan.shape();
-        let tile = &mut self.tiles[tile_index];
-        let local = tile.index(row % shape.rows, column % shape.columns);
-        Ok(&mut tile.cells[local])
+        self.check_cell(row, column)?;
+        self.mark_cell(row, column);
+        let (tile_index, local) = self.locate(row, column);
+        Ok(&mut self.tiles[tile_index].cells[local])
     }
 
     /// Programs one cell (global coordinates) to a multi-level state and
     /// returns the write pulses applied (the Preisach train length, also
     /// counted under [`ProgrammingMode::Ideal`] for cost bookkeeping).
     ///
-    /// With [`ProgrammingMode::PulseTrain`] the half-bias disturb pulses
-    /// reach the *other rows of the same tile* only — tiles are physically
-    /// separate arrays, so inhibit disturbance does not cross tile
-    /// boundaries (unlike a monolithic array spanning all events).
+    /// With [`ProgrammingMode::PulseTrain`] the other rows of the same
+    /// column absorb half-bias disturb pulses, mirroring the physical write
+    /// scheme. Tiles are physically separate arrays, so the disturb reaches
+    /// the rows of the written tile only; in a [`TilePlan::whole`] array that
+    /// is every other row of the column.
     ///
     /// # Errors
     ///
@@ -822,14 +745,12 @@ impl TileGrid {
         level: usize,
         mode: ProgrammingMode,
     ) -> Result<u64> {
-        let tile_index = self.tile_index_of(row, column)?;
-        self.mark_tile(tile_index);
+        self.check_cell(row, column)?;
+        let (tile_index, local) = self.locate(row, column);
         let shape = self.plan.shape();
-        let clock = self.clock;
-        let tile = &mut self.tiles[tile_index];
         let local_row = row % shape.rows;
         let local_col = column % shape.columns;
-        let local = tile.index(local_row, local_col);
+        let tile = &mut self.tiles[tile_index];
         let state = match mode {
             ProgrammingMode::Ideal => {
                 if tile.cells[local].is_stuck() {
@@ -862,16 +783,25 @@ impl TileGrid {
                 state
             }
         };
-        tile.cells[local].set_programmed_level(level);
-        tile.cells[local].reset_disturb();
-        tile.cells[local].set_programmed_at(clock);
+        if mode == ProgrammingMode::PulseTrain {
+            let tile_rows = self.tiles[tile_index].rows;
+            for other_row in (0..tile_rows).filter(|&other| other != local_row) {
+                self.mark_cell(row - local_row + other_row, column);
+            }
+        }
+        self.mark_cell(row, column);
+        let clock = self.clock;
+        let cell = &mut self.tiles[tile_index].cells[local];
+        cell.set_programmed_level(level);
+        cell.reset_disturb();
+        cell.set_programmed_at(clock);
         self.write_energy += self.programmer.write_energy(state.level)?;
         Ok(u64::from(state.write_config.pulse_count) + 1)
     }
 
-    /// Programs the whole fabric from a global level matrix (same shape
-    /// contract as
-    /// [`CrossbarArray::program_matrix`](crate::CrossbarArray::program_matrix)).
+    /// Programs the whole fabric from a global level matrix
+    /// (`levels[row][column] = Some(level)` or `None` to leave the cell
+    /// erased).
     ///
     /// # Errors
     ///
@@ -913,8 +843,8 @@ impl TileGrid {
     /// whose top-left corner lands on global `(row0, col0)`, pricing the
     /// Preisach pulse trains, and returns the accumulated write cost.
     ///
-    /// Only the tiles the region touches are invalidated; caches of every
-    /// other tile survive the reprogramming (the hot-swap path relies on
+    /// Only the written cells are invalidated; cached conductances of every
+    /// other cell survive the reprogramming (the hot-swap path relies on
     /// this so co-resident tenants keep their read caches).
     ///
     /// # Errors
@@ -928,21 +858,12 @@ impl TileGrid {
         levels: &[Vec<Option<usize>>],
         mode: ProgrammingMode,
     ) -> Result<RegionWriteOutcome> {
-        let layout = *self.plan.layout();
         let energy_before = self.write_energy;
         let mut outcome = RegionWriteOutcome::default();
         for (block_row, row_levels) in levels.iter().enumerate() {
-            let row = row0 + block_row;
             for (block_col, level) in row_levels.iter().enumerate() {
-                let column = col0 + block_col;
-                if row >= layout.rows() || column >= layout.columns() {
-                    return Err(CrossbarError::IndexOutOfBounds {
-                        row,
-                        column,
-                        rows: layout.rows(),
-                        columns: layout.columns(),
-                    });
-                }
+                let (row, column) = (row0 + block_row, col0 + block_col);
+                self.check_cell(row, column)?;
                 if let Some(level) = level {
                     outcome.pulses_applied += self.program_cell(row, column, *level, mode)?;
                     outcome.cells_programmed += 1;
@@ -958,7 +879,7 @@ impl TileGrid {
     /// programmed level forgotten either way. Erase pulses are priced like
     /// write pulses and accumulated into [`TileGrid::write_energy`].
     ///
-    /// Invalidation is scoped to the touched tiles, exactly like
+    /// Invalidation is scoped to the erased cells, exactly like
     /// [`TileGrid::program_region`].
     ///
     /// # Errors
@@ -978,18 +899,13 @@ impl TileGrid {
                 columns: layout.columns(),
             });
         }
-        let shape = self.plan.shape();
-        let col_tiles = self.plan.col_tiles();
         let energy_per_pulse = self.programmer.params().write_energy_per_pulse;
         let clock = self.clock;
         let mut outcome = RegionWriteOutcome::default();
-        let mut touched: Vec<usize> = Vec::new();
-        for row in rows.clone() {
+        for row in rows {
             for column in columns.clone() {
-                let tile_index = (row / shape.rows) * col_tiles + column / shape.columns;
-                let tile = &mut self.tiles[tile_index];
-                let local = tile.index(row % shape.rows, column % shape.columns);
-                let cell = &mut tile.cells[local];
+                let (tile_index, local) = self.locate(row, column);
+                let cell = &mut self.tiles[tile_index].cells[local];
                 if cell.programmed_level().is_none() && cell.disturb_pulses() == 0 {
                     continue;
                 }
@@ -1001,36 +917,27 @@ impl TileGrid {
                 cell.set_programmed_at(clock);
                 outcome.cells_erased += 1;
                 outcome.pulses_applied += 1;
-                let energy = energy_per_pulse;
-                outcome.energy_joules += energy;
-                self.write_energy += energy;
-                if !touched.contains(&tile_index) {
-                    touched.push(tile_index);
-                }
+                outcome.energy_joules += energy_per_pulse;
+                self.write_energy += energy_per_pulse;
+                self.mark_cell(row, column);
             }
-        }
-        for tile_index in touched {
-            self.mark_tile(tile_index);
         }
         Ok(outcome)
     }
 
     /// Applies threshold-voltage variation to every occupied cell, drawing
-    /// offsets in global row-major order — the same RNG consumption order
-    /// as a monolithic array, so a shared seed produces identical per-cell
-    /// offsets.
+    /// offsets in global row-major order, so a shared seed produces
+    /// identical per-cell offsets on every tiling of the same layout.
     pub fn apply_variation<R: Rng + ?Sized>(&mut self, variation: &VariationModel, rng: &mut R) {
         self.mark_all();
         let layout = *self.plan.layout();
-        let shape = self.plan.shape();
-        let col_tiles = self.plan.col_tiles();
         for row in 0..layout.rows() {
             for column in 0..layout.columns() {
                 let offset = variation.sample_offset(rng);
-                let tile_index = (row / shape.rows) * col_tiles + column / shape.columns;
-                let tile = &mut self.tiles[tile_index];
-                let local = tile.index(row % shape.rows, column % shape.columns);
-                tile.cells[local].device_mut().set_vth_offset(offset);
+                let (tile_index, local) = self.locate(row, column);
+                self.tiles[tile_index].cells[local]
+                    .device_mut()
+                    .set_vth_offset(offset);
             }
         }
     }
@@ -1045,12 +952,32 @@ impl TileGrid {
         Ok(())
     }
 
-    /// Merged wordline currents of the whole fabric for a global activation
-    /// pattern, written into `out` (cleared first): fabric row off-sums plus
-    /// the activated columns' deltas gathered from the fabric delta matrix
-    /// through the committed 4-lane reduction. Bit-identical to a monolithic
-    /// array holding the same program and stack. Counts as one read of every
-    /// global wordline for the disturb model.
+    /// Runs `read(cache, index)` for the reads `0..count` in order, each
+    /// registered as one read of every wordline for the disturb model.
+    /// Without a read-disturb model the cache is borrowed **once** for the
+    /// whole group; with one, each read registers its wordline reads and
+    /// re-checks the cache first, so a mid-batch tier crossing is reflected
+    /// exactly as it would be by sequential single reads — batched and
+    /// sequential reads stay bit-identical in every configuration.
+    fn for_each_read(&self, count: usize, mut read: impl FnMut(&ConductanceCache, usize)) {
+        if !self.stack.tracks_reads() {
+            self.with_cache(|cache| (0..count).for_each(|index| read(cache, index)));
+            return;
+        }
+        for index in 0..count {
+            for row in 0..self.plan.layout().rows() {
+                self.note_row_read(row);
+            }
+            self.with_cache(|cache| read(cache, index));
+        }
+    }
+
+    /// Accumulated currents of every wordline for an activation pattern,
+    /// written into `out` (cleared first): the row's off-state leakage plus
+    /// the on/off delta of every activated column, gathered from the
+    /// global-order conductance cache through the committed 4-lane
+    /// reduction. This is the allocation-free read used by the inference
+    /// path; it counts as one read of every wordline for the disturb model.
     ///
     /// # Errors
     ///
@@ -1061,32 +988,14 @@ impl TileGrid {
         activation: &Activation,
         out: &mut Vec<f64>,
     ) -> Result<()> {
-        self.check_activation(activation)?;
-        let rows = self.plan.layout().rows();
-        out.clear();
-        out.reserve(rows);
-        for row in 0..rows {
-            self.note_row_read(row);
-        }
-        self.with_cache(|cache| {
-            for row in 0..rows {
-                out.push(
-                    cache.row_off_sums[row]
-                        + lane_delta_sum(cache.row_deltas(row), activation.active_columns()),
-                );
-            }
-        });
-        Ok(())
+        self.wordline_currents_batch_into(std::slice::from_ref(activation), out)
     }
 
-    /// Merged wordline currents of the whole fabric for a group of
-    /// activation patterns, written into `out` (cleared first) read after
-    /// read: `out[read * rows + row]` is the merged current of global `row`
-    /// under `activations[read]`. Without a read-disturb model the fabric
-    /// cache is borrowed **once** for the whole group; with one, each read
-    /// registers its wordline reads and re-checks the cache first, so a
-    /// mid-batch tier crossing is reflected exactly as it would be by
-    /// sequential [`TileGrid::wordline_currents_into`] calls.
+    /// Accumulated wordline currents for a whole group of activation
+    /// patterns, written into `out` (cleared first) read after read:
+    /// `out[read * rows + row]` is the current of global `row` under
+    /// `activations[read]`. Bit-identical to sequential
+    /// [`TileGrid::wordline_currents_into`] calls in every configuration.
     ///
     /// # Errors
     ///
@@ -1104,39 +1013,15 @@ impl TileGrid {
         let rows = self.plan.layout().rows();
         out.clear();
         out.reserve(rows * activations.len());
-        if !self.stack.tracks_reads() {
-            self.with_cache(|cache| {
-                for activation in activations {
-                    for row in 0..rows {
-                        out.push(
-                            cache.row_off_sums[row]
-                                + lane_delta_sum(
-                                    cache.row_deltas(row),
-                                    activation.active_columns(),
-                                ),
-                        );
-                    }
-                }
-            });
-            return Ok(());
-        }
-        for activation in activations {
+        self.for_each_read(activations.len(), |cache, read| {
             for row in 0..rows {
-                self.note_row_read(row);
+                out.push(cache.wordline_current(row, &activations[read]));
             }
-            self.with_cache(|cache| {
-                for row in 0..rows {
-                    out.push(
-                        cache.row_off_sums[row]
-                            + lane_delta_sum(cache.row_deltas(row), activation.active_columns()),
-                    );
-                }
-            });
-        }
+        });
         Ok(())
     }
 
-    /// Merged wordline currents of the whole fabric (allocating wrapper of
+    /// Accumulated currents of every wordline (allocating wrapper of
     /// [`TileGrid::wordline_currents_into`]).
     ///
     /// # Errors
@@ -1170,17 +1055,18 @@ impl TileGrid {
     ) -> Result<()> {
         self.check_activation(activation)?;
         let columns = self.plan.tile_column_range(tile_col)?;
-        let rows = self.plan.tile_row_range(tile_row)?.len();
-        let tile_index = tile_row * self.plan.col_tiles() + tile_col;
+        let rows = self.plan.tile_row_range(tile_row)?;
         out.clear();
-        out.reserve(rows);
+        out.reserve(rows.len());
         self.with_cache(|cache| {
-            let tile = &cache.tiles[tile_index];
-            for local_row in 0..rows {
-                let mut current = tile.row_off_sum(local_row);
+            for row in rows {
+                let mut current = 0.0;
+                for column in columns.clone() {
+                    current += cache.off_current(row, column);
+                }
                 for &column in activation.active_columns() {
                     if columns.contains(&column) {
-                        current += tile.delta(local_row, column - columns.start);
+                        current += cache.delta(row, column);
                     }
                 }
                 out.push(current);
@@ -1209,12 +1095,15 @@ impl TileGrid {
             .count())
     }
 
-    /// Uncached merged read: evaluates the FeFET I-V model — with the
-    /// configured non-ideality stack — of every occupied cell on every
-    /// call, accumulating in the exact same order as the cached fabric path
-    /// (and as a monolithic array). This is the reference oracle for the
-    /// fabric equivalence property tests; it does **not** register wordline
-    /// reads.
+    /// Uncached all-wordline read: evaluates the FeFET I-V model — with the
+    /// configured non-ideality stack — of every occupied cell on every call,
+    /// accumulating in the exact same order as the cached path: off-state
+    /// leakage in global column order, then the activated deltas in the
+    /// committed 4-lane order (see [`crate::cache`]'s module docs). This is
+    /// the reference oracle for the equivalence property tests; it does
+    /// **not** register wordline reads, so calling it right after a cached
+    /// read observes the same read history and returns bit-identical
+    /// currents.
     ///
     /// # Errors
     ///
@@ -1237,35 +1126,42 @@ impl TileGrid {
         Ok(currents)
     }
 
-    /// Validates the per-slot bit offsets of a packed read against the
-    /// activation they annotate.
-    fn check_bit_offsets(activation: &Activation, bit_offsets: &[u8]) -> Result<()> {
-        if bit_offsets.len() != activation.len() {
+    /// Validates the bit offsets of a group of packed reads: `bit_offsets`
+    /// must annotate exactly the activated columns of every read.
+    fn check_bit_offsets(&self, activations: &[Activation], bit_offsets: &[u8]) -> Result<()> {
+        let mut total = 0usize;
+        for activation in activations {
+            self.check_activation(activation)?;
+            total += activation.len();
+        }
+        if bit_offsets.len() != total {
             return Err(CrossbarError::ActivationLengthMismatch {
-                expected: activation.len(),
+                expected: total,
                 found: bit_offsets.len(),
             });
         }
         Ok(())
     }
 
-    /// Per-plane partial sums of one packed bit-plane read across the whole
-    /// fabric, written into `out` (cleared first) as
-    /// `out[row * planes + plane]`. Each activated column's effective
-    /// on-current is gathered from its owning tile's conductance cache and
-    /// digitized through `ladder`; plane `q` counts the activated columns
-    /// whose multi-level state has bit `bit_offsets[slot] + q` set, in the
-    /// committed 4-lane summation order. Because the per-cell on-currents
-    /// are bit-identical to a monolithic
-    /// [`CrossbarArray`](crate::CrossbarArray)'s under the same program and
-    /// stack, so are the digitized states and therefore the partials.
-    /// Counts as one read of every global wordline for the disturb model.
+    /// Per-plane partial sums of one packed bit-plane read, written into
+    /// `out` (cleared first) as `out[row * planes + plane]`: each activated
+    /// column's effective on-current is digitized through `ladder` into its
+    /// multi-level state, and plane `q` counts the activated columns whose
+    /// state has bit `bit_offsets[slot] + q` set, in the committed 4-lane
+    /// summation order (see [`crate::cache`]'s module docs).
+    /// `bit_offsets[slot]` annotates `activation.active_columns()[slot]`
+    /// with the bit position of that column's selected digit.
+    ///
+    /// `level_scratch` is the caller's reusable digitizing buffer; the
+    /// partials are exact integers in `f64`, ready for the sensing chain's
+    /// shift-add merge. Counts as one read of every wordline for the
+    /// disturb model, exactly like [`TileGrid::wordline_currents_into`].
     ///
     /// # Errors
     ///
     /// Returns [`CrossbarError::ActivationLengthMismatch`] when the
-    /// activation was built for a different layout or `bit_offsets` does
-    /// not annotate every activated column.
+    /// activation was built for a different layout or `bit_offsets` does not
+    /// annotate every activated column.
     pub fn plane_partial_sums_into(
         &self,
         activation: &Activation,
@@ -1275,43 +1171,21 @@ impl TileGrid {
         level_scratch: &mut Vec<usize>,
         out: &mut Vec<f64>,
     ) -> Result<()> {
-        self.check_activation(activation)?;
-        Self::check_bit_offsets(activation, bit_offsets)?;
-        let rows = self.plan.layout().rows();
-        let shape = self.plan.shape();
-        let col_tiles = self.plan.col_tiles();
-        out.clear();
-        out.reserve(rows * planes);
-        for row in 0..rows {
-            self.note_row_read(row);
-        }
-        self.with_cache(|cache| {
-            for row in 0..rows {
-                let tile_base = (row / shape.rows) * col_tiles;
-                let local_row = row % shape.rows;
-                row_plane_partials(
-                    |column| {
-                        cache.tiles[tile_base + column / shape.columns]
-                            .on_current(local_row, column % shape.columns)
-                    },
-                    activation.active_columns(),
-                    bit_offsets,
-                    planes,
-                    ladder,
-                    level_scratch,
-                    out,
-                );
-            }
-        });
-        Ok(())
+        self.plane_partial_sums_batch_into(
+            std::slice::from_ref(activation),
+            bit_offsets,
+            planes,
+            ladder,
+            level_scratch,
+            out,
+        )
     }
 
-    /// Uncached packed read over the fabric: evaluates the FeFET I-V model —
-    /// with the configured non-ideality stack — for every activated cell on
-    /// every call and digitizes through the same ladder and summation order
-    /// as [`TileGrid::plane_partial_sums_into`]. The reference oracle for
-    /// the fabric packed-read equivalence tests; does **not** register
-    /// wordline reads.
+    /// Uncached packed read: evaluates the FeFET I-V model — with the
+    /// configured non-ideality stack — for every activated cell on every
+    /// call and digitizes through the same ladder and summation order as
+    /// [`TileGrid::plane_partial_sums_into`]. The reference oracle for the
+    /// packed-read equivalence tests; does **not** register wordline reads.
     ///
     /// # Errors
     ///
@@ -1323,8 +1197,7 @@ impl TileGrid {
         planes: usize,
         ladder: &LevelLadder,
     ) -> Result<Vec<f64>> {
-        self.check_activation(activation)?;
-        Self::check_bit_offsets(activation, bit_offsets)?;
+        self.check_bit_offsets(std::slice::from_ref(activation), bit_offsets)?;
         let rows = self.plan.layout().rows();
         let mut out = Vec::with_capacity(rows * planes);
         let mut level_scratch = Vec::with_capacity(activation.len());
@@ -1345,11 +1218,9 @@ impl TileGrid {
     /// Packed partial sums for a whole group of reads, written into `out`
     /// (cleared first) read after read:
     /// `out[(read * rows + row) * planes + plane]`. `bit_offsets` holds the
-    /// per-read offset slices concatenated in read order. The cache-borrow
-    /// and disturb-registration split mirrors
-    /// [`TileGrid::wordline_currents_batch_into`], so batched packed reads
-    /// stay bit-identical to sequential
-    /// [`TileGrid::plane_partial_sums_into`] calls in every configuration.
+    /// per-read offset slices concatenated in read order. Bit-identical to
+    /// sequential [`TileGrid::plane_partial_sums_into`] calls in every
+    /// configuration.
     ///
     /// # Errors
     ///
@@ -1366,79 +1237,33 @@ impl TileGrid {
         level_scratch: &mut Vec<usize>,
         out: &mut Vec<f64>,
     ) -> Result<()> {
-        let mut total = 0usize;
-        for activation in activations {
-            self.check_activation(activation)?;
-            total += activation.len();
-        }
-        if bit_offsets.len() != total {
-            return Err(CrossbarError::ActivationLengthMismatch {
-                expected: total,
-                found: bit_offsets.len(),
-            });
-        }
+        self.check_bit_offsets(activations, bit_offsets)?;
         let rows = self.plan.layout().rows();
-        let shape = self.plan.shape();
-        let col_tiles = self.plan.col_tiles();
         out.clear();
         out.reserve(rows * planes * activations.len());
-        if !self.stack.tracks_reads() {
-            self.with_cache(|cache| {
-                let mut cursor = 0usize;
-                for activation in activations {
-                    let offsets = &bit_offsets[cursor..cursor + activation.len()];
-                    cursor += activation.len();
-                    for row in 0..rows {
-                        let tile_base = (row / shape.rows) * col_tiles;
-                        let local_row = row % shape.rows;
-                        row_plane_partials(
-                            |column| {
-                                cache.tiles[tile_base + column / shape.columns]
-                                    .on_current(local_row, column % shape.columns)
-                            },
-                            activation.active_columns(),
-                            offsets,
-                            planes,
-                            ladder,
-                            level_scratch,
-                            out,
-                        );
-                    }
-                }
-            });
-            return Ok(());
-        }
         let mut cursor = 0usize;
-        for activation in activations {
+        self.for_each_read(activations.len(), |cache, read| {
+            let activation = &activations[read];
             let offsets = &bit_offsets[cursor..cursor + activation.len()];
             cursor += activation.len();
             for row in 0..rows {
-                self.note_row_read(row);
+                row_plane_partials(
+                    |column| cache.on_current(row, column),
+                    activation.active_columns(),
+                    offsets,
+                    planes,
+                    ladder,
+                    level_scratch,
+                    out,
+                );
             }
-            self.with_cache(|cache| {
-                for row in 0..rows {
-                    let tile_base = (row / shape.rows) * col_tiles;
-                    let local_row = row % shape.rows;
-                    row_plane_partials(
-                        |column| {
-                            cache.tiles[tile_base + column / shape.columns]
-                                .on_current(local_row, column % shape.columns)
-                        },
-                        activation.active_columns(),
-                        offsets,
-                        planes,
-                        ladder,
-                        level_scratch,
-                        out,
-                    );
-                }
-            });
-        }
+        });
         Ok(())
     }
 
-    /// Effective threshold error of one programmed cell (see
-    /// [`CrossbarArray::recalibrate`](crate::CrossbarArray::recalibrate)).
+    /// Effective threshold error of one programmed cell, in volts: the
+    /// stack's time/history-dependent shift plus the polarization deviation
+    /// from the level target expressed through the threshold window.
     fn effective_shift(
         &self,
         row: usize,
@@ -1468,8 +1293,10 @@ impl TileGrid {
     }
 
     /// The largest effective threshold error (volts) over all programmed
-    /// cells of the fabric. Cells already classified as stuck are excluded
-    /// (their error is permanent and belongs to [`TileGrid::scrub`]).
+    /// cells — the quantity a recalibration scheduler compares against its
+    /// tolerance. Cells already classified as stuck are excluded: their
+    /// error is permanent by definition and belongs to the scrub/repair
+    /// subsystem ([`TileGrid::scrub`]), not to drift recalibration.
     pub fn worst_effective_shift(&self) -> f64 {
         let layout = *self.plan.layout();
         let window = self.programmer.params().vth_window();
@@ -1493,12 +1320,30 @@ impl TileGrid {
         worst
     }
 
-    /// One recalibration pass over the whole fabric: the tile-granular
-    /// analogue of
-    /// [`CrossbarArray::recalibrate`](crate::CrossbarArray::recalibrate).
-    /// Global wordlines holding an out-of-tolerance programmed cell are
-    /// rewritten whole; refreshed rows restart their retention age, disturb
-    /// counters and read counters, and only the touched tiles go stale.
+    /// Rejects a non-positive or non-finite maintenance tolerance.
+    fn check_tolerance(max_vth_shift: f64, reason: &str) -> Result<()> {
+        if !max_vth_shift.is_finite() || max_vth_shift <= 0.0 {
+            return Err(CrossbarError::Device(DeviceError::InvalidParameter {
+                name: "max_vth_shift",
+                reason: reason.to_string(),
+            }));
+        }
+        Ok(())
+    }
+
+    /// One recalibration pass: every programmed cell's effective threshold
+    /// error (drift + disturb + polarization relaxation) is checked against
+    /// `max_vth_shift` (volts), and any global wordline holding an
+    /// out-of-tolerance cell is rewritten whole — with minimal Preisach
+    /// top-up pulse trains under [`ProgrammingMode::PulseTrain`] (full
+    /// erase and retrain only when a cell overshot its target), or a direct state
+    /// install priced at the full train under [`ProgrammingMode::Ideal`].
+    /// Refreshed rows restart their retention age, disturb counters and
+    /// read counters, and only their cached conductances go stale.
+    ///
+    /// Recalibration writes are modelled disturb-free: a refresh pass is
+    /// assumed to use a sequencing that does not half-bias neighbouring
+    /// rows, so one pass cannot create the drift it is correcting.
     ///
     /// # Errors
     ///
@@ -1509,15 +1354,11 @@ impl TileGrid {
         max_vth_shift: f64,
         mode: ProgrammingMode,
     ) -> Result<RefreshOutcome> {
-        if !max_vth_shift.is_finite() || max_vth_shift <= 0.0 {
-            return Err(CrossbarError::Device(DeviceError::InvalidParameter {
-                name: "max_vth_shift",
-                reason: "recalibration tolerance must be positive and finite".to_string(),
-            }));
-        }
+        Self::check_tolerance(
+            max_vth_shift,
+            "recalibration tolerance must be positive and finite",
+        )?;
         let layout = *self.plan.layout();
-        let shape = self.plan.shape();
-        let col_tiles = self.plan.col_tiles();
         let window = self.programmer.params().vth_window();
         let energy_per_pulse = self.programmer.params().write_energy_per_pulse;
         let mut states: Vec<Option<ProgrammedState>> = Vec::new();
@@ -1544,46 +1385,37 @@ impl TileGrid {
             }
             outcome.rows_refreshed += 1;
             let clock = self.clock;
-            let tile_row = row / shape.rows;
-            let local_row = row % shape.rows;
             for column in 0..layout.columns() {
-                let tile_index = tile_row * col_tiles + column / shape.columns;
-                let local = self.tiles[tile_index].index(local_row, column % shape.columns);
-                if self.tiles[tile_index].cells[local].is_stuck() {
+                let (tile_index, local) = self.locate(row, column);
+                let cell = &mut self.tiles[tile_index].cells[local];
+                if cell.is_stuck() {
                     continue;
                 }
-                let Some(level) = self.tiles[tile_index].cells[local].programmed_level() else {
+                let Some(level) = cell.programmed_level() else {
                     continue;
                 };
                 let pulses = match mode {
                     ProgrammingMode::Ideal => {
                         let target =
                             Self::level_state(&self.programmer, &mut states, level)?.clone();
-                        self.tiles[tile_index].cells[local]
-                            .device_mut()
-                            .set_polarization(target.polarization);
+                        cell.device_mut().set_polarization(target.polarization);
                         u64::from(target.write_config.pulse_count) + 1
                     }
-                    ProgrammingMode::PulseTrain => u64::from(self.programmer.refresh_with_pulses(
-                        self.tiles[tile_index].cells[local].device_mut(),
-                        level,
-                    )?),
+                    ProgrammingMode::PulseTrain => u64::from(
+                        self.programmer
+                            .refresh_with_pulses(cell.device_mut(), level)?,
+                    ),
                 };
+                cell.set_programmed_at(clock);
+                cell.reset_disturb();
                 outcome.cells_refreshed += 1;
                 outcome.pulses_applied += pulses;
                 let energy = energy_per_pulse * pulses as f64;
                 outcome.energy_joules += energy;
                 self.write_energy += energy;
-                self.tiles[tile_index].cells[local].set_programmed_at(clock);
-                self.tiles[tile_index].cells[local].reset_disturb();
             }
             self.row_reads.reset_row(row);
-            for tile_col in 0..col_tiles {
-                self.dirty
-                    .get_mut()
-                    .mark_tile(tile_row * col_tiles + tile_col, self.plan.tile_count());
-            }
-            self.bump_epoch();
+            self.mark_row(row);
         }
         Ok(outcome)
     }
@@ -1613,36 +1445,37 @@ impl TileGrid {
         })
     }
 
-    /// One BIST-style scrub pass over the fabric — the tile-granular,
-    /// spare-row-repairing analogue of
-    /// [`CrossbarArray::scrub`](crate::CrossbarArray::scrub).
+    /// One BIST-style scrub pass over the fabric.
     ///
     /// Every programmed cell is read back against the program's expected
-    /// signature. A cell out of signature gets one in-place rewrite attempt
-    /// and a re-read; a cell that still misses its target is unrepairable in
-    /// place, and its wordline *segment* (the logical row within the owning
-    /// tile) is repaired by reprogramming the segment's contents onto a free
-    /// spare physical row — the minimal Preisach train from the erased spare
-    /// under [`ProgrammingMode::PulseTrain`] — and rewiring the tile's remap
+    /// signature (the memoized per-level target states — the same oracle
+    /// the conductance cache is built from). A cell out of signature gets
+    /// one in-place rewrite attempt and a re-read; a cell that still misses
+    /// its target is unrepairable in place, and its wordline *segment* (the
+    /// logical row within the owning tile) is repaired by reprogramming the
+    /// segment's contents onto a free spare physical row — the minimal
+    /// Preisach train from the erased spare under
+    /// [`ProgrammingMode::PulseTrain`] — and rewiring the tile's remap
     /// table. Reads through the remap stay bit-identical to the pre-fault
     /// reference because non-idealities are evaluated in logical
     /// coordinates. When the tile has no free spare, the defective cells are
-    /// latched stuck and reported with `repaired == false`; the caller
-    /// decides whether the fabric must be quarantined.
+    /// latched stuck ([`Cell::is_stuck`]) and reported with
+    /// `repaired == false`; the caller decides whether the fabric must be
+    /// quarantined.
     ///
-    /// Like recalibration, repair writes are modelled disturb-free.
+    /// Unlike [`TileGrid::recalibrate`] — which corrects *recoverable* drift
+    /// row-wise and skips known-stuck cells — the scrub is purely
+    /// read-driven: it checks every programmed cell including already-stuck
+    /// ones, so detection never depends on the fault injector having
+    /// annotated the cell. Like recalibration, repair writes are modelled
+    /// disturb-free.
     ///
     /// # Errors
     ///
     /// Returns [`CrossbarError::Device`] for a non-positive or non-finite
     /// tolerance, and propagates programming errors.
     pub fn scrub(&mut self, max_vth_shift: f64, mode: ProgrammingMode) -> Result<ScrubOutcome> {
-        if !max_vth_shift.is_finite() || max_vth_shift <= 0.0 {
-            return Err(CrossbarError::Device(DeviceError::InvalidParameter {
-                name: "max_vth_shift",
-                reason: "scrub tolerance must be positive and finite".to_string(),
-            }));
-        }
+        Self::check_tolerance(max_vth_shift, "scrub tolerance must be positive and finite")?;
         let layout = *self.plan.layout();
         let shape = self.plan.shape();
         let col_tiles = self.plan.col_tiles();
@@ -1672,41 +1505,35 @@ impl TileGrid {
                     continue;
                 }
                 // Out of signature: classify the observed state, then try
-                // one in-place rewrite (a stuck stack does not respond).
-                let observed = self
-                    .cell(row, column)
-                    .expect("in-range indices")
-                    .device()
-                    .polarization()
-                    .value();
-                let kind = if observed >= 0.5 {
+                // one in-place rewrite. A stuck stack does not respond, so
+                // the guard in the device mutation is the physics, not the
+                // logic.
+                let (tile_index, local) = self.locate(row, column);
+                let cell = &mut self.tiles[tile_index].cells[local];
+                let kind = if cell.device().polarization().value() >= 0.5 {
                     FaultKind::StuckProgrammed
                 } else {
                     FaultKind::StuckErased
                 };
-                let tile_index = tile_row * col_tiles + column / shape.columns;
-                let local = self.tiles[tile_index].index(local_row, column % shape.columns);
-                if !self.tiles[tile_index].cells[local].is_stuck() {
+                if !cell.is_stuck() {
                     let pulses = match mode {
                         ProgrammingMode::Ideal => {
-                            self.tiles[tile_index].cells[local]
-                                .device_mut()
-                                .set_polarization(target.polarization);
+                            cell.device_mut().set_polarization(target.polarization);
                             u64::from(target.write_config.pulse_count) + 1
                         }
-                        ProgrammingMode::PulseTrain => {
-                            u64::from(self.programmer.refresh_with_pulses(
-                                self.tiles[tile_index].cells[local].device_mut(),
-                                level,
-                            )?)
-                        }
+                        ProgrammingMode::PulseTrain => u64::from(
+                            self.programmer
+                                .refresh_with_pulses(cell.device_mut(), level)?,
+                        ),
                     };
+                    cell.set_programmed_at(clock);
+                    cell.reset_disturb();
                     outcome.pulses_applied += pulses;
                     let energy = energy_per_pulse * pulses as f64;
                     outcome.energy_joules += energy;
                     self.write_energy += energy;
-                    self.tiles[tile_index].cells[local].set_programmed_at(clock);
-                    self.tiles[tile_index].cells[local].reset_disturb();
+                    // A rewrite re-settles the wordline's read history the
+                    // same way a recalibration refresh does.
                     self.row_reads.reset_row(row);
                     row_touched = true;
                 }
@@ -1724,89 +1551,86 @@ impl TileGrid {
                 }
             }
             // Spare-row repair, one tile segment at a time.
-            let mut start = 0;
-            while start < unrepaired.len() {
-                let tile_col = unrepaired[start].0 / shape.columns;
-                let mut end = start;
-                while end < unrepaired.len() && unrepaired[end].0 / shape.columns == tile_col {
-                    end += 1;
+            for group in unrepaired.chunk_by(|a, b| a.0 / shape.columns == b.0 / shape.columns) {
+                let tile_index = tile_row * col_tiles + group[0].0 / shape.columns;
+                let repaired = self.remap_onto_spare(tile_index, local_row, mode, &mut outcome)?;
+                if repaired {
+                    self.row_reads.reset_row(row);
+                    row_touched = true;
+                } else {
+                    outcome.stuck_cells += group.len() as u64;
                 }
-                let group = &unrepaired[start..end];
-                start = end;
-                let tile_index = tile_row * col_tiles + tile_col;
-                if !self.tiles[tile_index].has_free_spare() {
-                    for &(column, kind) in group {
+                for &(column, kind) in group {
+                    if repaired {
+                        outcome.cells_repaired += 1;
+                    } else {
                         let local = self.tiles[tile_index].index(local_row, column % shape.columns);
                         self.tiles[tile_index].cells[local].set_stuck(true);
-                        outcome.stuck_cells += 1;
-                        outcome.reports.push(FaultReport {
-                            row,
-                            column,
-                            kind,
-                            repaired: false,
-                        });
                     }
-                    continue;
-                }
-                // Reprogram the whole logical row segment onto the spare
-                // physical row, then rewire the remap table.
-                let spare_phys = self.tiles[tile_index].rows + self.tiles[tile_index].spares_used;
-                let columns_in_tile = self.tiles[tile_index].columns;
-                for local_col in 0..columns_in_tile {
-                    let old = self.tiles[tile_index].index(local_row, local_col);
-                    let Some(level) = self.tiles[tile_index].cells[old].programmed_level() else {
-                        continue;
-                    };
-                    let spare_index = spare_phys * columns_in_tile + local_col;
-                    let state = match mode {
-                        ProgrammingMode::Ideal => self.programmer.program_ideal(
-                            self.tiles[tile_index].cells[spare_index].device_mut(),
-                            level,
-                        )?,
-                        ProgrammingMode::PulseTrain => self.programmer.program_with_pulses(
-                            self.tiles[tile_index].cells[spare_index].device_mut(),
-                            level,
-                        )?,
-                    };
-                    let pulses = u64::from(state.write_config.pulse_count) + 1;
-                    outcome.pulses_applied += pulses;
-                    let energy = energy_per_pulse * pulses as f64;
-                    outcome.energy_joules += energy;
-                    self.write_energy += energy;
-                    let cell = &mut self.tiles[tile_index].cells[spare_index];
-                    cell.set_programmed_level(level);
-                    cell.reset_disturb();
-                    cell.set_programmed_at(clock);
-                }
-                let tile = &mut self.tiles[tile_index];
-                tile.remap[local_row] = spare_phys;
-                tile.spares_used += 1;
-                outcome.rows_remapped += 1;
-                self.row_reads.reset_row(row);
-                row_touched = true;
-                for &(column, kind) in group {
-                    outcome.cells_repaired += 1;
                     outcome.reports.push(FaultReport {
                         row,
                         column,
                         kind,
-                        repaired: true,
+                        repaired,
                     });
                 }
             }
             if row_touched {
-                for tile_col in 0..col_tiles {
-                    self.dirty
-                        .get_mut()
-                        .mark_tile(tile_row * col_tiles + tile_col, self.plan.tile_count());
-                }
-                self.bump_epoch();
+                self.mark_row(row);
             }
         }
         Ok(outcome)
     }
 
-    /// The programmed level of every occupied cell as a global matrix.
+    /// Reprograms one logical row segment of a tile onto its next free spare
+    /// physical row and rewires the remap table, pricing the writes into
+    /// `outcome`. Returns `false` (touching nothing) when the tile has no
+    /// free spare.
+    fn remap_onto_spare(
+        &mut self,
+        tile_index: usize,
+        local_row: usize,
+        mode: ProgrammingMode,
+        outcome: &mut ScrubOutcome,
+    ) -> Result<bool> {
+        let energy_per_pulse = self.programmer.params().write_energy_per_pulse;
+        let clock = self.clock;
+        let tile = &mut self.tiles[tile_index];
+        if !tile.has_free_spare() {
+            return Ok(false);
+        }
+        let spare_phys = tile.rows + tile.spares_used;
+        for local_col in 0..tile.columns {
+            let Some(level) = tile.cells[tile.index(local_row, local_col)].programmed_level()
+            else {
+                continue;
+            };
+            let spare = &mut tile.cells[spare_phys * tile.columns + local_col];
+            let state = match mode {
+                ProgrammingMode::Ideal => {
+                    self.programmer.program_ideal(spare.device_mut(), level)?
+                }
+                ProgrammingMode::PulseTrain => self
+                    .programmer
+                    .program_with_pulses(spare.device_mut(), level)?,
+            };
+            spare.set_programmed_level(level);
+            spare.reset_disturb();
+            spare.set_programmed_at(clock);
+            let pulses = u64::from(state.write_config.pulse_count) + 1;
+            outcome.pulses_applied += pulses;
+            let energy = energy_per_pulse * pulses as f64;
+            outcome.energy_joules += energy;
+            self.write_energy += energy;
+        }
+        tile.remap[local_row] = spare_phys;
+        tile.spares_used += 1;
+        outcome.rows_remapped += 1;
+        Ok(true)
+    }
+
+    /// The programmed level of every occupied cell as a global matrix (for
+    /// Fig. 8(b)-style state maps).
     pub fn level_map(&self) -> Vec<Vec<Option<usize>>> {
         let layout = *self.plan.layout();
         (0..layout.rows())
@@ -1822,31 +1646,18 @@ impl TileGrid {
             .collect()
     }
 
-    /// The cached read current of every occupied cell, flattened row-major
-    /// into `out` (cleared first) — the allocation-reusing fabric state map.
+    /// The cached read current of every occupied cell, flattened global
+    /// row-major into `out` (cleared first) — the allocation-reusing state
+    /// map. Does not count as wordline reads.
     pub fn current_map_into(&self, out: &mut Vec<f64>) {
-        let layout = *self.plan.layout();
-        let shape = self.plan.shape();
-        let col_tiles = self.plan.col_tiles();
         out.clear();
-        out.reserve(layout.cells());
-        self.with_cache(|cache| {
-            for row in 0..layout.rows() {
-                let tile_row = row / shape.rows;
-                let local_row = row % shape.rows;
-                for column in 0..layout.columns() {
-                    let tile = &cache.tiles[tile_row * col_tiles + column / shape.columns];
-                    out.push(tile.on_current(local_row, column % shape.columns));
-                }
-            }
-        });
+        self.with_cache(|cache| out.extend_from_slice(cache.on_currents()));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::array::CrossbarArray;
     use febim_device::{ReadDisturb, RetentionDrift, WireResistance};
 
     fn plan_2x2() -> TilePlan {
@@ -1866,11 +1677,13 @@ mod tests {
         levels
     }
 
-    fn grid_and_array() -> (TileGrid, CrossbarArray) {
+    /// The 2×2 grid of [`plan_2x2`] and the 1×1 grid of the same layout,
+    /// holding the same program.
+    fn grid_and_array() -> (TileGrid, TileGrid) {
         let plan = plan_2x2();
         let programmer = LevelProgrammer::febim_default(10).unwrap();
         let mut grid = TileGrid::new(plan, programmer.clone());
-        let mut array = CrossbarArray::new(*plan.layout(), programmer);
+        let mut array = TileGrid::new(TilePlan::whole(*plan.layout()).unwrap(), programmer);
         let levels = checker_levels(plan.layout());
         grid.program_matrix(&levels, ProgrammingMode::Ideal)
             .unwrap();
@@ -1887,13 +1700,13 @@ mod tests {
             .with_disturb(ReadDisturb::new(7, 0.001))
     }
 
-    fn noisy_grid_and_array() -> (TileGrid, CrossbarArray) {
+    fn noisy_grid_and_array() -> (TileGrid, TileGrid) {
         let plan = plan_2x2();
         let programmer = LevelProgrammer::febim_default(10).unwrap();
         let mut grid =
             TileGrid::with_non_idealities(plan, programmer.clone(), noisy_stack()).unwrap();
-        let mut array =
-            CrossbarArray::with_non_idealities(*plan.layout(), programmer, noisy_stack()).unwrap();
+        let whole = TilePlan::whole(*plan.layout()).unwrap();
+        let mut array = TileGrid::with_non_idealities(whole, programmer, noisy_stack()).unwrap();
         let levels = checker_levels(plan.layout());
         grid.program_matrix(&levels, ProgrammingMode::Ideal)
             .unwrap();
@@ -2130,11 +1943,12 @@ mod tests {
         grid.wordline_currents(&activation).unwrap();
         let after = grid.rebuild_stats();
         assert_eq!(after.full_rebuilds, 1, "no second full rebuild");
+        assert_eq!(after.partial_refreshes, before.partial_refreshes + 1);
         assert_eq!(after.tile_rebuilds, before.tile_rebuilds + 1);
         assert_eq!(
             after.cells_recomputed,
-            before.cells_recomputed + 7,
-            "only the 1x7 edge tile re-evaluated"
+            before.cells_recomputed + 1,
+            "only the mutated cell of the 1x7 edge tile re-evaluated"
         );
         assert_eq!(
             grid.wordline_currents(&activation).unwrap(),
@@ -2144,10 +1958,9 @@ mod tests {
 
     #[test]
     fn repeated_programs_into_one_tile_keep_other_tile_caches() {
-        // Regression: `GridDirty::mark_tile` used to push duplicate indices,
-        // so per-cell programming loops confined to ONE tile degraded the
-        // dirty set to `All` after two writes and forced full fabric
-        // rebuilds even though every other tile was untouched.
+        // Regression: per-cell programming loops confined to ONE tile must
+        // not degrade the dirty set to a full fabric rebuild while every
+        // other tile is untouched.
         let (mut grid, _) = grid_and_array();
         let activation = Activation::all_columns(grid.layout());
         grid.wordline_currents(&activation).unwrap(); // warm: one full build
@@ -2169,7 +1982,7 @@ mod tests {
         assert_eq!(
             after.cells_recomputed,
             before.cells_recomputed + 18,
-            "only the reprogrammed 2x9 tile re-evaluated"
+            "only the 18 reprogrammed cells of the 2x9 tile re-evaluated"
         );
         assert_eq!(
             grid.wordline_currents(&activation).unwrap(),
@@ -2319,12 +2132,9 @@ mod tests {
         let mut flat = vec![9.9; 3];
         grid.current_map_into(&mut flat);
         assert_eq!(flat.len(), grid.layout().cells());
-        let reference = array.current_map();
-        for (index, value) in flat.iter().enumerate() {
-            let row = index / grid.layout().columns();
-            let column = index % grid.layout().columns();
-            assert_eq!(*value, reference[row][column]);
-        }
+        let mut reference = Vec::new();
+        array.current_map_into(&mut reference);
+        assert_eq!(flat, reference);
     }
 
     #[test]
@@ -2388,7 +2198,7 @@ mod tests {
         let mut grid = spare_grid(1);
         let activation = Activation::all_columns(grid.layout());
         let reference = grid.wordline_currents(&activation).unwrap();
-        crate::fault::apply_scheduled_grid_fault(&mut grid, 2, 10, FaultKind::StuckErased, false)
+        crate::fault::apply_scheduled_fault(&mut grid, 2, 10, FaultKind::StuckErased, false)
             .unwrap();
         assert_ne!(grid.wordline_currents(&activation).unwrap(), reference);
 
@@ -2405,14 +2215,8 @@ mod tests {
         let mut grid = spare_grid(1);
         let activation = Activation::all_columns(grid.layout());
         let reference = grid.wordline_currents(&activation).unwrap();
-        crate::fault::apply_scheduled_grid_fault(
-            &mut grid,
-            2,
-            10,
-            FaultKind::StuckProgrammed,
-            true,
-        )
-        .unwrap();
+        crate::fault::apply_scheduled_fault(&mut grid, 2, 10, FaultKind::StuckProgrammed, true)
+            .unwrap();
         assert_ne!(grid.wordline_currents(&activation).unwrap(), reference);
 
         let outcome = grid.scrub(0.05, ProgrammingMode::Ideal).unwrap();
@@ -2447,7 +2251,7 @@ mod tests {
     #[test]
     fn grid_scrub_without_spares_reports_unrepairable_cells() {
         let mut grid = spare_grid(0);
-        crate::fault::apply_scheduled_grid_fault(&mut grid, 2, 10, FaultKind::StuckErased, true)
+        crate::fault::apply_scheduled_fault(&mut grid, 2, 10, FaultKind::StuckErased, true)
             .unwrap();
         let outcome = grid.scrub(0.05, ProgrammingMode::Ideal).unwrap();
         assert!(!outcome.fully_repaired());
@@ -2467,9 +2271,9 @@ mod tests {
     fn grid_scrub_exhausts_spares_then_degrades() {
         let mut grid = spare_grid(1);
         // Rows 0 and 1 share tile (0, 1): the single spare covers only one.
-        crate::fault::apply_scheduled_grid_fault(&mut grid, 0, 10, FaultKind::StuckErased, true)
+        crate::fault::apply_scheduled_fault(&mut grid, 0, 10, FaultKind::StuckErased, true)
             .unwrap();
-        crate::fault::apply_scheduled_grid_fault(&mut grid, 1, 10, FaultKind::StuckErased, true)
+        crate::fault::apply_scheduled_fault(&mut grid, 1, 10, FaultKind::StuckErased, true)
             .unwrap();
         let outcome = grid.scrub(0.05, ProgrammingMode::Ideal).unwrap();
         assert_eq!(outcome.rows_remapped, 1);
@@ -2622,14 +2426,8 @@ mod tests {
         let reference = grid
             .plane_partial_sums_reference(&activation, &bit_offsets, 2, &ladder)
             .unwrap();
-        crate::fault::apply_scheduled_grid_fault(
-            &mut grid,
-            2,
-            10,
-            FaultKind::StuckProgrammed,
-            true,
-        )
-        .unwrap();
+        crate::fault::apply_scheduled_fault(&mut grid, 2, 10, FaultKind::StuckProgrammed, true)
+            .unwrap();
         let outcome = grid.scrub(0.05, ProgrammingMode::Ideal).unwrap();
         assert_eq!(outcome.rows_remapped, 1);
         assert!(grid.is_row_remapped(2));
