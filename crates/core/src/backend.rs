@@ -34,7 +34,7 @@ use febim_circuit::{
     InferenceEnergy, ReadGroup, SensingChain, TileGeometry,
 };
 use febim_crossbar::{
-    apply_scheduled_fault, Activation, FaultSchedule, LevelLadder, ProgrammingMode, RefreshOutcome,
+    apply_scheduled_fault, Activation, FaultSchedule, ProgrammingMode, RefreshOutcome,
     ScrubOutcome, TileGrid, TilePlan, TileShape,
 };
 use febim_device::{LevelProgrammer, VariationModel};
@@ -360,8 +360,6 @@ struct PackedRead {
     digit_bits: u32,
     /// Bit planes sensed per read (`Q_l`).
     planes: usize,
-    /// Flash-ADC ladder digitizing cell on-currents back into stored values.
-    ladder: LevelLadder,
     /// Current step of one merged-score unit on the shift-add bus.
     lsb_current: f64,
     /// Shared per-row current offset of the merged read.
@@ -370,25 +368,19 @@ struct PackedRead {
 
 impl PackedRead {
     /// Builds the packed-read geometry for a configuration, or `None` for
-    /// one-hot encodings. `state_count` is the compiled program's state
-    /// count (`2^bits` for packed programs), which sizes the ladder.
-    fn for_config(config: &EngineConfig, state_count: usize) -> Result<Option<Self>> {
+    /// one-hot encodings.
+    fn for_config(config: &EngineConfig) -> Option<Self> {
         if !config.encoding.is_packed() {
-            return Ok(None);
+            return None;
         }
         let digit_bits = config.quant.likelihood_bits;
-        Ok(Some(Self {
+        Some(Self {
             digits_per_cell: config.encoding.digits_per_cell(digit_bits),
             digit_bits,
             planes: config.encoding.planes(digit_bits),
-            ladder: LevelLadder::new(
-                febim_device::programming::DEFAULT_MIN_READ_CURRENT,
-                febim_device::programming::DEFAULT_MAX_READ_CURRENT,
-                state_count,
-            )?,
             lsb_current: febim_device::programming::DEFAULT_MIN_READ_CURRENT,
             floor_current: 0.0,
-        }))
+        })
     }
 
     /// Total stored bits per multi-bit cell (`log2` of the cell's state
@@ -812,7 +804,7 @@ impl<P: SensePricing> GridCore<P> {
         let programmer = level_programmer(config, program.state_count())?;
         let grid =
             TileGrid::with_non_idealities(*program.plan(), programmer, config.non_idealities)?;
-        let packed = PackedRead::for_config(config, program.state_count())?;
+        let packed = PackedRead::for_config(config);
         let mut core = Self {
             quantized,
             program,
@@ -887,7 +879,6 @@ impl<P: SensePricing> GridCore<P> {
             packed_evidence,
             bit_offsets,
             plane_sums,
-            level_scratch,
             ..
         } = scratch;
         let activation = activation.get_or_insert_with(|| Activation::empty(self.grid.layout()));
@@ -898,8 +889,6 @@ impl<P: SensePricing> GridCore<P> {
                 activation,
                 bit_offsets,
                 packed.planes,
-                &packed.ladder,
-                level_scratch,
                 plane_sums,
             )?,
             None => self.grid.wordline_currents_into(activation, currents)?,
@@ -964,8 +953,6 @@ impl<P: SensePricing> GridCore<P> {
                     reads,
                     &scratch.bit_offsets,
                     packed.planes,
-                    &packed.ladder,
-                    &mut scratch.level_scratch,
                     &mut scratch.batch_currents,
                 )?;
                 rows * packed.planes

@@ -92,8 +92,6 @@ pub struct EvalScratch {
     /// Per-plane integer partial sums of a packed read, row-major
     /// (`plane_sums[row * planes + plane]`; read-major on top for batches).
     pub(crate) plane_sums: Vec<f64>,
-    /// Digitized per-column cell levels of one packed wordline read.
-    pub(crate) level_scratch: Vec<usize>,
 }
 
 impl EvalScratch {

@@ -166,7 +166,7 @@ mod tests {
     use crate::errors::CrossbarError;
     use crate::fault::{FaultKind, FaultReport};
     use crate::layout::CrossbarLayout;
-    use crate::read::{Activation, LevelLadder};
+    use crate::read::Activation;
     use crate::tiling::{TileGrid, TilePlan};
     use febim_device::{
         LevelProgrammer, NonIdealityStack, ReadDisturb, RetentionDrift, VariationModel,
@@ -806,22 +806,15 @@ mod tests {
     }
 
     /// A 2-row array with 16-level cells, programmed so each column stores a
-    /// known packed state, plus the flash-ADC ladder matching the
-    /// programmer's current window.
-    fn packed_array(levels: &[Vec<Option<usize>>]) -> (TileGrid, LevelLadder) {
+    /// known packed state.
+    fn packed_array(levels: &[Vec<Option<usize>>]) -> TileGrid {
         let layout = CrossbarLayout::new(2, 2, 2, false).unwrap();
         let programmer = LevelProgrammer::febim_default(16).unwrap();
-        let ladder = LevelLadder::new(
-            programmer.min_current(),
-            programmer.max_current(),
-            programmer.levels(),
-        )
-        .unwrap();
         let mut array = monolithic(layout, programmer);
         array
             .program_matrix(levels, ProgrammingMode::Ideal)
             .unwrap();
-        (array, ladder)
+        array
     }
 
     #[test]
@@ -831,21 +824,13 @@ mod tests {
             vec![Some(0b0110), Some(0b0001), Some(0b1111), Some(0b1000)],
             vec![Some(0b1000), Some(0b1111), Some(0b0001), Some(0b0110)],
         ];
-        let (array, ladder) = packed_array(&levels);
+        let array = packed_array(&levels);
         let activation = Activation::from_columns(array.layout(), &[0, 1, 2]).unwrap();
         // Column 0 contributes digit bits 2..4, columns 1 and 2 bits 0..2.
         let bit_offsets = [2, 0, 0];
-        let mut scratch = Vec::new();
         let mut partials = Vec::new();
         array
-            .plane_partial_sums_into(
-                &activation,
-                &bit_offsets,
-                2,
-                &ladder,
-                &mut scratch,
-                &mut partials,
-            )
+            .plane_partial_sums_into(&activation, &bit_offsets, 2, &mut partials)
             .unwrap();
         // Row 0 plane 0: bit2(0b0110)=1, bit0(0b0001)=1, bit0(0b1111)=1.
         // Row 0 plane 1: bit3(0b0110)=0, bit1(0b0001)=0, bit1(0b1111)=1.
@@ -853,7 +838,7 @@ mod tests {
         // Row 1 plane 1: bit3(0b1000)=1, bit1(0b1111)=1, bit1(0b0001)=0.
         assert_eq!(partials, vec![3.0, 1.0, 2.0, 2.0]);
         let reference = array
-            .plane_partial_sums_reference(&activation, &bit_offsets, 2, &ladder)
+            .plane_partial_sums_reference(&activation, &bit_offsets, 2)
             .unwrap();
         assert_eq!(partials, reference);
     }
@@ -861,33 +846,25 @@ mod tests {
     #[test]
     fn packed_partials_validate_their_inputs() {
         let levels = vec![vec![Some(1); 4]; 2];
-        let (array, ladder) = packed_array(&levels);
+        let array = packed_array(&levels);
         let activation = Activation::from_columns(array.layout(), &[0, 1]).unwrap();
-        let mut scratch = Vec::new();
         let mut partials = Vec::new();
         // One offset for two activated columns.
         assert!(matches!(
-            array.plane_partial_sums_into(
-                &activation,
-                &[0],
-                2,
-                &ladder,
-                &mut scratch,
-                &mut partials,
-            ),
+            array.plane_partial_sums_into(&activation, &[0], 2, &mut partials,),
             Err(CrossbarError::ActivationLengthMismatch {
                 expected: 2,
                 found: 1
             })
         ));
         assert!(array
-            .plane_partial_sums_reference(&activation, &[0], 2, &ladder)
+            .plane_partial_sums_reference(&activation, &[0], 2)
             .is_err());
         // Activation built for a different layout.
         let other_layout = CrossbarLayout::new(2, 3, 2, false).unwrap();
         let foreign = Activation::all_columns(&other_layout);
         assert!(array
-            .plane_partial_sums_reference(&foreign, &[0; 6], 2, &ladder)
+            .plane_partial_sums_reference(&foreign, &[0; 6], 2)
             .is_err());
         // Batch offsets must cover every read exactly.
         assert!(matches!(
@@ -895,8 +872,6 @@ mod tests {
                 &[activation.clone(), activation],
                 &[0; 3],
                 2,
-                &ladder,
-                &mut scratch,
                 &mut partials,
             ),
             Err(CrossbarError::ActivationLengthMismatch {
@@ -910,12 +885,6 @@ mod tests {
     fn noisy_packed_partials_match_the_oracle_and_register_disturb() {
         let layout = CrossbarLayout::new(2, 2, 2, false).unwrap();
         let programmer = LevelProgrammer::febim_default(16).unwrap();
-        let ladder = LevelLadder::new(
-            programmer.min_current(),
-            programmer.max_current(),
-            programmer.levels(),
-        )
-        .unwrap();
         let mut array = monolithic_with(layout, programmer, noisy_stack());
         let levels = vec![
             vec![Some(3), Some(12), Some(7), Some(15)],
@@ -927,21 +896,13 @@ mod tests {
         array.advance_time(555);
         let activation = Activation::all_columns(array.layout());
         let bit_offsets = [0u8, 2, 0, 2];
-        let mut scratch = Vec::new();
         let mut partials = Vec::new();
         for _ in 0..20 {
             array
-                .plane_partial_sums_into(
-                    &activation,
-                    &bit_offsets,
-                    2,
-                    &ladder,
-                    &mut scratch,
-                    &mut partials,
-                )
+                .plane_partial_sums_into(&activation, &bit_offsets, 2, &mut partials)
                 .unwrap();
             let oracle = array
-                .plane_partial_sums_reference(&activation, &bit_offsets, 2, &ladder)
+                .plane_partial_sums_reference(&activation, &bit_offsets, 2)
                 .unwrap();
             assert_eq!(partials, oracle);
         }
@@ -958,12 +919,6 @@ mod tests {
         ] {
             let layout = CrossbarLayout::new(2, 2, 2, false).unwrap();
             let programmer = LevelProgrammer::febim_default(16).unwrap();
-            let ladder = LevelLadder::new(
-                programmer.min_current(),
-                programmer.max_current(),
-                programmer.levels(),
-            )
-            .unwrap();
             let mut batched = monolithic_with(layout, programmer.clone(), stack);
             let mut sequential = monolithic_with(layout, programmer, stack);
             let levels = vec![
@@ -988,30 +943,15 @@ mod tests {
             ];
             let activations: Vec<Activation> = reads.iter().map(|(a, _)| a.clone()).collect();
             let flat_offsets: Vec<u8> = reads.iter().flat_map(|(_, o)| o.clone()).collect();
-            let mut scratch = Vec::new();
             let mut batch_out = Vec::new();
             batched
-                .plane_partial_sums_batch_into(
-                    &activations,
-                    &flat_offsets,
-                    2,
-                    &ladder,
-                    &mut scratch,
-                    &mut batch_out,
-                )
+                .plane_partial_sums_batch_into(&activations, &flat_offsets, 2, &mut batch_out)
                 .unwrap();
             let mut sequential_out = Vec::new();
             for (activation, offsets) in &reads {
                 let mut one = Vec::new();
                 sequential
-                    .plane_partial_sums_into(
-                        activation,
-                        offsets,
-                        2,
-                        &ladder,
-                        &mut scratch,
-                        &mut one,
-                    )
+                    .plane_partial_sums_into(activation, offsets, 2, &mut one)
                     .unwrap();
                 sequential_out.extend_from_slice(&one);
             }

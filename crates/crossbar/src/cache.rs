@@ -33,6 +33,15 @@
 //! kernel and the uncached reference oracles evaluate it identically on
 //! every tiling, and the crate's property tests pin every
 //! remainder case (0–3 trailing columns).
+//!
+//! ## Packed reads
+//!
+//! A bit-plane read only senses which state each activated cell holds, so
+//! the cache also keeps every cell's on-current digitized through the
+//! fabric's level ladder, one small integer per cell. A packed read is then
+//! integer bit counting over the activated columns; the uncached reference
+//! ([`row_plane_partials`]) digitizes on every call instead. Both produce
+//! exact integer partials, so they agree bit for bit.
 
 use crate::read::{Activation, LevelLadder};
 
@@ -87,34 +96,199 @@ pub(crate) fn lane_bit_sum(count: usize, mut bit: impl FnMut(usize) -> f64) -> f
 }
 
 /// One wordline's per-plane partial sums of a packed bit-plane read,
-/// appended to `out` (`planes` values, plane 0 = LSB first).
+/// appended to `out` (`planes` values, plane 0 = LSB first) — the uncached
+/// reference form.
 ///
-/// Every activated column's effective on-current is digitized **once**
-/// through the ladder into `level_scratch` (the caller-provided hoist that
-/// keeps the per-plane loops free of ladder arithmetic); plane `q` then
-/// counts, in the committed 4-lane order, the activated columns whose
-/// effective level has bit `bit_offsets[slot] + q` set. Both the cached
-/// kernel and the uncached reference oracle funnel through this one
-/// function with their own `on_current` accessor,
-/// so packed partial sums can never diverge between them.
+/// Every activated column's effective on-current is digitized through the
+/// ladder on every call; plane `q` then counts, in the committed 4-lane
+/// order, the activated columns whose level has bit `bit_offsets[slot] + q`
+/// set (bits past the level's width read as 0). The cached kernel
+/// ([`ConductanceCache::plane_partials`]) counts the same bits from the
+/// digitized levels it keeps with the conductances; the partials are exact
+/// integers, so the two agree bit for bit in any summation order.
 pub(crate) fn row_plane_partials(
     mut on_current: impl FnMut(usize) -> f64,
     active_columns: &[usize],
     bit_offsets: &[u8],
     planes: usize,
     ladder: &LevelLadder,
-    level_scratch: &mut Vec<usize>,
     out: &mut Vec<f64>,
 ) {
-    level_scratch.clear();
-    level_scratch.reserve(active_columns.len());
-    for &column in active_columns {
-        level_scratch.push(ladder.level_for_current(on_current(column)));
-    }
+    let levels: Vec<usize> = active_columns
+        .iter()
+        .map(|&column| ladder.level_for_current(on_current(column)))
+        .collect();
     for plane in 0..planes {
         out.push(lane_bit_sum(active_columns.len(), |slot| {
-            f64::from(((level_scratch[slot] >> (bit_offsets[slot] as usize + plane)) & 1) as u32)
+            f64::from(((levels[slot] >> bit_shift(bit_offsets[slot], plane)) & 1) as u32)
         }));
+    }
+}
+
+/// The shift bringing bit `offset + plane` of a level down to bit 0,
+/// capped at 31: checked ladders have at most [`MAX_CACHED_LEVELS`] levels,
+/// so every bit from 16 up reads zero.
+fn bit_shift(offset: u8, plane: usize) -> usize {
+    (usize::from(offset) + plane).min(31)
+}
+
+/// Most levels a ladder may have for [`ConductanceCache::build_levels`]:
+/// every level must fit the cached `u16`.
+pub(crate) const MAX_CACHED_LEVELS: usize = 1 << 16;
+
+/// `SPREAD[digit]` moves bit `b` of `digit` into byte lane `b` of a `u64`,
+/// so adding spread digits counts up to eight bit planes at once.
+const SPREAD: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut digit = 0;
+    while digit < 256 {
+        let mut bit = 0;
+        while bit < 8 {
+            table[digit] |= ((digit as u64 >> bit) & 1) << (8 * bit);
+            bit += 1;
+        }
+        digit += 1;
+    }
+    table
+};
+
+/// Slots accumulated into the byte lanes between flushes: a lane holds at
+/// most 255 set bits before it would carry into its neighbour.
+const LANE_CAPACITY: usize = 255;
+
+/// Per-plane bit counts of every wordline from the row-major digitized cell
+/// levels (`columns` per row), added onto `partials`
+/// (`partials[row * planes + plane]`): plane `q` counts the activated
+/// columns whose level has bit `bit_offsets[slot] + q` set.
+///
+/// Eight planes are counted at once: the level shifted down to a slot's
+/// first plane indexes [`SPREAD`], whose byte lanes are summed (lanes past
+/// the last plane are summed too and ignored). The slot shifts are the same
+/// for every row, so they are worked out once per block of slots.
+fn plane_counts<L: Copy + Into<u32>>(
+    levels: &[L],
+    columns: usize,
+    active_columns: &[usize],
+    bit_offsets: &[u8],
+    planes: usize,
+    partials: &mut [f64],
+) {
+    let mut shifts = [0u32; LANE_CAPACITY];
+    for first in (0..planes).step_by(8) {
+        let width = (planes - first).min(8);
+        for (block, block_offsets) in active_columns
+            .chunks(LANE_CAPACITY)
+            .zip(bit_offsets.chunks(LANE_CAPACITY))
+        {
+            let shifts = &mut shifts[..block.len()];
+            for (shift, &offset) in shifts.iter_mut().zip(block_offsets) {
+                *shift = bit_shift(offset, first) as u32;
+            }
+            let flush = |lanes: u64, row_partials: &mut [f64]| {
+                for (plane, partial) in row_partials[first..first + width].iter_mut().enumerate() {
+                    *partial += ((lanes >> (8 * plane)) & 0xFF) as f64;
+                }
+            };
+            // Four rows at a time share each slot's column and shift loads.
+            let quads = levels.len() / (4 * columns);
+            let (quad_levels, rest_levels) = levels.split_at(quads * 4 * columns);
+            let (quad_partials, rest_partials) = partials.split_at_mut(quads * 4 * planes);
+            for (rows, row_partials) in quad_levels
+                .chunks_exact(4 * columns)
+                .zip(quad_partials.chunks_exact_mut(4 * planes))
+            {
+                let lanes = spread_sums::<L, 4>(rows, columns, block, shifts);
+                for (lanes, row_partials) in
+                    lanes.into_iter().zip(row_partials.chunks_exact_mut(planes))
+                {
+                    flush(lanes, row_partials);
+                }
+            }
+            for (row, row_partials) in rest_levels
+                .chunks_exact(columns)
+                .zip(rest_partials.chunks_exact_mut(planes))
+            {
+                let [lanes] = spread_sums::<L, 1>(row, columns, block, shifts);
+                flush(lanes, row_partials);
+            }
+        }
+    }
+}
+
+/// Sums of the [`SPREAD`] digits of `R` consecutive rows (`levels` holds
+/// exactly their cells) over one block of slots, the rows sharing each
+/// slot's column and shift.
+#[inline(always)]
+fn spread_sums<L: Copy + Into<u32>, const R: usize>(
+    levels: &[L],
+    columns: usize,
+    block: &[usize],
+    shifts: &[u32],
+) -> [u64; R] {
+    let rows: [&[L]; R] = std::array::from_fn(|row| &levels[row * columns..(row + 1) * columns]);
+    let mut lanes = [0u64; R];
+    for (&column, &shift) in block.iter().zip(shifts) {
+        for (lanes, row) in lanes.iter_mut().zip(rows) {
+            let level: u32 = row[column].into();
+            // The low byte holds the (up to) eight planes counted.
+            *lanes = lanes.wrapping_add(SPREAD[usize::from((level >> shift) as u8)]);
+        }
+    }
+    lanes
+}
+
+/// Every cell's digitized level, row-major, in the narrowest integer that
+/// holds the ladder's top level.
+#[derive(Debug, Clone, PartialEq)]
+enum LevelStore {
+    Narrow(Vec<u8>),
+    Wide(Vec<u16>),
+}
+
+/// The ladder level of `on` in a store's integer type, which holds the
+/// ladder's top level (checked when the store is built).
+fn digitize<L: TryFrom<usize>>(ladder: &LevelLadder, on: f64) -> L {
+    L::try_from(ladder.level_for_current(on))
+        .ok()
+        .expect("the ladder's top level fits the store")
+}
+
+/// The digitized levels of a cache plus the ladder that produced them.
+#[derive(Debug, Clone, PartialEq)]
+struct CellLevels {
+    ladder: LevelLadder,
+    store: LevelStore,
+}
+
+impl CellLevels {
+    fn build(ladder: LevelLadder, on: &[f64]) -> Self {
+        assert!(
+            ladder.levels() <= MAX_CACHED_LEVELS,
+            "a {}-level ladder does not fit the cached level type",
+            ladder.levels()
+        );
+        let store = if ladder.levels() <= 1 << 8 {
+            LevelStore::Narrow(
+                on.iter()
+                    .map(|&current| digitize(&ladder, current))
+                    .collect(),
+            )
+        } else {
+            LevelStore::Wide(
+                on.iter()
+                    .map(|&current| digitize(&ladder, current))
+                    .collect(),
+            )
+        };
+        Self { ladder, store }
+    }
+
+    fn set(&mut self, index: usize, on: f64) {
+        let ladder = &self.ladder;
+        match &mut self.store {
+            LevelStore::Narrow(levels) => levels[index] = digitize(ladder, on),
+            LevelStore::Wide(levels) => levels[index] = digitize(ladder, on),
+        }
     }
 }
 
@@ -123,7 +297,10 @@ pub(crate) fn row_plane_partials(
 /// All vectors are row-major; `on`/`off`/`delta` hold one entry per cell
 /// (`delta = on - off`, precomputed so the read kernel is a pure gather-sum)
 /// and `row_off_sums` one entry per row (the accumulated leakage of a fully
-/// inhibited wordline, summed in column order).
+/// inhibited wordline, summed in column order). Packed reads additionally
+/// keep each cell's on-current digitized to its level: built on demand by
+/// [`ConductanceCache::build_levels`], patched by every later
+/// [`ConductanceCache::refresh_cell`], dropped by a full rebuild.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ConductanceCache {
     columns: usize,
@@ -131,6 +308,7 @@ pub(crate) struct ConductanceCache {
     off: Vec<f64>,
     delta: Vec<f64>,
     row_off_sums: Vec<f64>,
+    levels: Option<CellLevels>,
 }
 
 impl ConductanceCache {
@@ -173,10 +351,24 @@ impl ConductanceCache {
             off,
             delta,
             row_off_sums,
+            levels: None,
         }
     }
 
-    /// Overwrites the snapshot of one cell with freshly evaluated currents.
+    /// Whether the digitized cell levels are built.
+    pub(crate) fn has_levels(&self) -> bool {
+        self.levels.is_some()
+    }
+
+    /// Digitizes every cached on-current through `ladder`, which must have
+    /// at most [`MAX_CACHED_LEVELS`] levels; from now on
+    /// [`ConductanceCache::refresh_cell`] keeps the levels current.
+    pub(crate) fn build_levels(&mut self, ladder: LevelLadder) {
+        self.levels = Some(CellLevels::build(ladder, &self.on));
+    }
+
+    /// Overwrites the snapshot of one cell with freshly evaluated currents
+    /// (and its digitized level, once built).
     ///
     /// The owning fabric must call
     /// [`ConductanceCache::recompute_row_off_sum`] for the touched row
@@ -186,6 +378,9 @@ impl ConductanceCache {
         self.on[index] = on;
         self.off[index] = off;
         self.delta[index] = on - off;
+        if let Some(levels) = &mut self.levels {
+            levels.set(index, on);
+        }
     }
 
     /// Recomputes one row's off-state leakage sum from the stored per-cell
@@ -202,6 +397,7 @@ impl ConductanceCache {
     }
 
     /// Cached `V_on` read current of one cell.
+    #[cfg(test)]
     pub(crate) fn on_current(&self, row: usize, column: usize) -> f64 {
         self.on[row * self.columns + column]
     }
@@ -234,6 +430,51 @@ impl ConductanceCache {
     /// order (see [`lane_delta_sum`]).
     pub(crate) fn wordline_current(&self, row: usize, activation: &Activation) -> f64 {
         self.row_off_sums[row] + lane_delta_sum(self.row_deltas(row), activation.active_columns())
+    }
+
+    /// Per-plane partial sums of one packed read over every wordline,
+    /// appended to `out` as `[row * planes + plane]` (plane 0 = LSB first):
+    /// plane `q` counts the activated columns whose cached level has bit
+    /// `bit_offsets[slot] + q` set. Integer bit counting over the levels
+    /// built by [`ConductanceCache::build_levels`] — no ladder arithmetic
+    /// per read.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the levels have not been built.
+    pub(crate) fn plane_partials(
+        &self,
+        active_columns: &[usize],
+        bit_offsets: &[u8],
+        planes: usize,
+        out: &mut Vec<f64>,
+    ) {
+        let levels = self
+            .levels
+            .as_ref()
+            .expect("cell levels built before a packed read");
+        let start = out.len();
+        out.resize(start + self.row_off_sums.len() * planes, 0.0);
+        let partials = &mut out[start..];
+        let columns = self.columns;
+        match &levels.store {
+            LevelStore::Narrow(store) => plane_counts(
+                store,
+                columns,
+                active_columns,
+                bit_offsets,
+                planes,
+                partials,
+            ),
+            LevelStore::Wide(store) => plane_counts(
+                store,
+                columns,
+                active_columns,
+                bit_offsets,
+                planes,
+                partials,
+            ),
+        }
     }
 }
 
@@ -339,34 +580,89 @@ mod tests {
         }
     }
 
+    /// A one-row cache whose on-currents sit on the targets of `levels`
+    /// on a `count`-level ladder spanning 0.1–1.0 µA.
+    fn level_row(levels: &[usize], count: usize) -> (ConductanceCache, LevelLadder) {
+        let ladder = LevelLadder::new(0.1e-6, 1.0e-6, count).unwrap();
+        let step = 0.9e-6 / (count - 1) as f64;
+        let mut cache = ConductanceCache::build_with(1, levels.len(), |_, column| {
+            (0.1e-6 + levels[column] as f64 * step, 0.0)
+        });
+        cache.build_levels(ladder);
+        (cache, ladder)
+    }
+
+    /// The cached kernel's and the reference's partials of row 0.
+    fn both_partials(
+        cache: &ConductanceCache,
+        ladder: &LevelLadder,
+        active: &[usize],
+        offsets: &[u8],
+        planes: usize,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let mut cached = Vec::new();
+        cache.plane_partials(active, offsets, planes, &mut cached);
+        let mut reference = Vec::new();
+        row_plane_partials(
+            |column| cache.on_current(0, column),
+            active,
+            offsets,
+            planes,
+            ladder,
+            &mut reference,
+        );
+        (cached, reference)
+    }
+
     #[test]
     fn row_plane_partials_count_set_bits_per_plane() {
-        // Three packed columns whose effective currents decode to levels
-        // 0b0110, 0b0001 and 0b1111 on a 16-level ladder; the digit of
-        // interest sits at offset 0, 0 and 2 respectively.
-        let ladder = crate::read::LevelLadder::new(0.1e-6, 1.0e-6, 16).unwrap();
-        let span = 0.9e-6;
-        let levels = [0b0110usize, 0b0001, 0b1111];
-        let currents: Vec<f64> = levels
-            .iter()
-            .map(|&level| 0.1e-6 + level as f64 / 15.0 * span)
-            .collect();
-        let active = [0usize, 1, 2];
-        let offsets = [0u8, 0, 2];
-        let mut scratch = Vec::new();
-        let mut out = Vec::new();
-        row_plane_partials(
-            |column| currents[column],
-            &active,
-            &offsets,
-            2,
-            &ladder,
-            &mut scratch,
-            &mut out,
-        );
+        // Three packed columns at levels 0b0110, 0b0001 and 0b1111 on a
+        // 16-level ladder; the digit of interest sits at offset 0, 0 and 2.
+        let (cache, ladder) = level_row(&[0b0110, 0b0001, 0b1111], 16);
+        let (cached, reference) = both_partials(&cache, &ladder, &[0, 1, 2], &[0, 0, 2], 2);
         // Plane 0 (LSB): bits are 0, 1, 1 → 2. Plane 1: bits 1, 0, 1 → 2.
-        assert_eq!(out, vec![2.0, 2.0]);
-        assert_eq!(scratch, levels);
+        assert_eq!(reference, vec![2.0, 2.0]);
+        assert_eq!(cached, reference);
+    }
+
+    #[test]
+    fn cached_plane_counts_match_the_reference_past_every_lane_limit() {
+        // 600 slots overflow the 255-slot byte lanes twice; 1024 levels need
+        // the wide store; 10 planes take two lane groups; offsets past the
+        // level width read zero bits.
+        let levels: Vec<usize> = (0..600)
+            .map(|index| (index * 37 + index / 7) % 1024)
+            .collect();
+        let (cache, ladder) = level_row(&levels, 1024);
+        assert!(matches!(
+            cache.levels.as_ref().unwrap().store,
+            LevelStore::Wide(_)
+        ));
+        let active: Vec<usize> = (0..600).rev().collect();
+        let offsets: Vec<u8> = (0..600)
+            .map(|slot| [0u8, 1, 3, 9, 40, 200][slot % 6])
+            .collect();
+        for planes in [0, 1, 8, 10] {
+            let (cached, reference) = both_partials(&cache, &ladder, &active, &offsets, planes);
+            assert_eq!(cached.len(), planes);
+            assert_eq!(cached, reference, "planes={planes}");
+        }
+        // Every slot set in plane 0 counts to 600 across the lane flushes.
+        let (narrow, ladder) = level_row(&[1; 600], 2);
+        let (cached, reference) = both_partials(&narrow, &ladder, &active, &[0; 600], 1);
+        assert_eq!(cached, vec![600.0]);
+        assert_eq!(cached, reference);
+    }
+
+    #[test]
+    fn refreshed_cells_patch_their_cached_level() {
+        let (mut cache, ladder) = level_row(&[3, 5, 7], 16);
+        let (fresh, _) = level_row(&[3, 12, 7], 16);
+        cache.refresh_cell(0, 1, fresh.on_current(0, 1), 0.0);
+        cache.recompute_row_off_sum(0);
+        assert_eq!(cache, fresh);
+        let (cached, reference) = both_partials(&cache, &ladder, &[0, 1, 2], &[0; 3], 4);
+        assert_eq!(cached, reference);
     }
 
     #[test]

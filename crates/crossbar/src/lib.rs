@@ -625,7 +625,6 @@ mod proptests {
                 .collect();
             let sparse = Activation::from_observation(&layout, &evidence).unwrap();
             let all = Activation::all_columns(&layout);
-            let mut scratch = Vec::new();
             let mut from_array = Vec::new();
             let mut from_grid = Vec::new();
             let mut from_ideal = Vec::new();
@@ -637,31 +636,31 @@ mod proptests {
                     .collect();
                 array
                     .plane_partial_sums_into(
-                        activation, &offsets, planes, &ladder, &mut scratch, &mut from_array,
+                        activation, &offsets, planes, &mut from_array,
                     )
                     .unwrap();
                 grid.plane_partial_sums_into(
-                    activation, &offsets, planes, &ladder, &mut scratch, &mut from_grid,
+                    activation, &offsets, planes, &mut from_grid,
                 )
                 .unwrap();
                 prop_assert_eq!(&from_array, &from_grid);
                 prop_assert_eq!(
                     &from_array,
                     &array
-                        .plane_partial_sums_reference(activation, &offsets, planes, &ladder)
+                        .plane_partial_sums_reference(activation, &offsets, planes)
                         .unwrap()
                 );
                 prop_assert_eq!(
                     &from_grid,
                     &grid
-                        .plane_partial_sums_reference(activation, &offsets, planes, &ladder)
+                        .plane_partial_sums_reference(activation, &offsets, planes)
                         .unwrap()
                 );
                 // Independent unpack oracle (partials are exact integers, so
                 // plain left-to-right accumulation must coincide exactly).
                 ideal
                     .plane_partial_sums_into(
-                        activation, &offsets, planes, &ladder, &mut scratch, &mut from_ideal,
+                        activation, &offsets, planes, &mut from_ideal,
                     )
                     .unwrap();
                 for row in 0..layout.rows() {

@@ -33,7 +33,10 @@
 //! logical array (see [`crate::array`]): mutating one cell (or crossing a
 //! read-disturb tier on one wordline) marks only that cell (or row) stale,
 //! so bringing the cache current re-evaluates those cells and re-accumulates
-//! their rows — one drifted tile does not invalidate the whole grid.
+//! their rows — one drifted tile does not invalidate the whole grid. Packed
+//! reads also keep each cell's digitized level in the cache: built by the
+//! first packed read after a full rebuild, then patched by the same sparse
+//! refreshes, so one-hot reads never pay for it.
 //!
 //! [`ProgrammingMode::PulseTrain`] disturb follows the physical tiles:
 //! half-bias inhibit pulses reach the other rows of the written tile only,
@@ -51,7 +54,7 @@ use febim_device::{
 };
 
 use crate::array::{DirtyState, ProgrammingMode, RebuildStats, RefreshOutcome};
-use crate::cache::{lane_delta_sum, row_plane_partials, ConductanceCache};
+use crate::cache::{lane_delta_sum, row_plane_partials, ConductanceCache, MAX_CACHED_LEVELS};
 use crate::cell::Cell;
 use crate::errors::{CrossbarError, Result};
 use crate::fault::{FaultKind, FaultReport, ScrubOutcome};
@@ -446,6 +449,17 @@ impl TileGrid {
         &self.programmer
     }
 
+    /// The flash-ADC ladder packed reads digitize cell on-currents through:
+    /// the programmer's read window and level count. Fails when that window
+    /// is not a valid ladder (see [`LevelLadder::new`]).
+    pub(crate) fn ladder(&self) -> Result<LevelLadder> {
+        LevelLadder::new(
+            self.programmer.min_current(),
+            self.programmer.max_current(),
+            self.programmer.levels(),
+        )
+    }
+
     /// Replaces the write scheme (half-bias configuration) of every tile.
     pub fn set_write_scheme(&mut self, scheme: WriteScheme) {
         self.write_scheme = scheme;
@@ -601,14 +615,29 @@ impl TileGrid {
         )
     }
 
-    /// Brings the conductance cache up to the current state epoch: a sparse
+    /// Brings the conductance cache up to the current state epoch and, for
+    /// packed reads (`levels`), makes sure it holds the digitized cell
+    /// levels. A cache that already holds them keeps them current through
+    /// the same refresh; a full rebuild drops them until the next packed
+    /// read, so one-hot reads never build them.
+    fn ensure_cache(&self, levels: bool) {
+        if self.cache_epoch.get() != self.state_epoch.get() || self.cache.borrow().is_none() {
+            self.refresh_cache();
+        }
+        if levels {
+            let mut slot = self.cache.borrow_mut();
+            let cache = slot.as_mut().expect("cache refreshed");
+            if !cache.has_levels() {
+                cache.build_levels(self.ladder().expect("packed reads check the ladder"));
+            }
+        }
+    }
+
+    /// Refreshes the conductance cache to the current state epoch: a sparse
     /// patch when the dirty set is sparse (recompute the dirty cells, then
     /// re-accumulate the touched rows' off-sums in full global column order
     /// — bit identical to a full rebuild), a full rebuild otherwise.
-    fn ensure_cache(&self) {
-        if self.cache_epoch.get() == self.state_epoch.get() && self.cache.borrow().is_some() {
-            return;
-        }
+    fn refresh_cache(&self) {
         let layout = *self.plan.layout();
         let columns = layout.columns();
         let mut slot = self.cache.borrow_mut();
@@ -672,9 +701,19 @@ impl TileGrid {
         self.cache_epoch.set(self.state_epoch.get());
     }
 
-    /// Runs `reader` against an up-to-date conductance cache.
-    fn with_cache<T>(&self, reader: impl FnOnce(&ConductanceCache) -> T) -> T {
-        self.ensure_cache();
+    /// Whether the conductance cache currently holds digitized cell levels.
+    #[cfg(test)]
+    fn has_cell_levels(&self) -> bool {
+        self.cache
+            .borrow()
+            .as_ref()
+            .is_some_and(ConductanceCache::has_levels)
+    }
+
+    /// Runs `reader` against an up-to-date conductance cache (holding the
+    /// digitized cell levels when `levels` is set).
+    fn with_cache<T>(&self, levels: bool, reader: impl FnOnce(&ConductanceCache) -> T) -> T {
+        self.ensure_cache(levels);
         let slot = self.cache.borrow();
         reader(slot.as_ref().expect("cache ensured"))
     }
@@ -958,17 +997,25 @@ impl TileGrid {
     /// whole group; with one, each read registers its wordline reads and
     /// re-checks the cache first, so a mid-batch tier crossing is reflected
     /// exactly as it would be by sequential single reads — batched and
-    /// sequential reads stay bit-identical in every configuration.
-    fn for_each_read(&self, count: usize, mut read: impl FnMut(&ConductanceCache, usize)) {
+    /// sequential reads stay bit-identical in every configuration. `levels`
+    /// selects a packed read (see [`TileGrid::with_cache`]).
+    fn for_each_read(
+        &self,
+        count: usize,
+        levels: bool,
+        mut read: impl FnMut(&ConductanceCache, usize),
+    ) {
         if !self.stack.tracks_reads() {
-            self.with_cache(|cache| (0..count).for_each(|index| read(cache, index)));
+            self.with_cache(levels, |cache| {
+                (0..count).for_each(|index| read(cache, index))
+            });
             return;
         }
         for index in 0..count {
             for row in 0..self.plan.layout().rows() {
                 self.note_row_read(row);
             }
-            self.with_cache(|cache| read(cache, index));
+            self.with_cache(levels, |cache| read(cache, index));
         }
     }
 
@@ -1013,7 +1060,7 @@ impl TileGrid {
         let rows = self.plan.layout().rows();
         out.clear();
         out.reserve(rows * activations.len());
-        self.for_each_read(activations.len(), |cache, read| {
+        self.for_each_read(activations.len(), false, |cache, read| {
             for row in 0..rows {
                 out.push(cache.wordline_current(row, &activations[read]));
             }
@@ -1058,7 +1105,7 @@ impl TileGrid {
         let rows = self.plan.tile_row_range(tile_row)?;
         out.clear();
         out.reserve(rows.len());
-        self.with_cache(|cache| {
+        self.with_cache(false, |cache| {
             for row in rows {
                 let mut current = 0.0;
                 for column in columns.clone() {
@@ -1126,9 +1173,10 @@ impl TileGrid {
         Ok(currents)
     }
 
-    /// Validates the bit offsets of a group of packed reads: `bit_offsets`
-    /// must annotate exactly the activated columns of every read.
-    fn check_bit_offsets(&self, activations: &[Activation], bit_offsets: &[u8]) -> Result<()> {
+    /// Validates a group of packed reads: `bit_offsets` must annotate
+    /// exactly the activated columns of every read, and the fabric's ladder
+    /// must be valid with every level fitting the cached level type.
+    fn check_packed_reads(&self, activations: &[Activation], bit_offsets: &[u8]) -> Result<()> {
         let mut total = 0usize;
         for activation in activations {
             self.check_activation(activation)?;
@@ -1140,52 +1188,58 @@ impl TileGrid {
                 found: bit_offsets.len(),
             });
         }
+        let levels = self.ladder()?.levels();
+        if levels > MAX_CACHED_LEVELS {
+            return Err(CrossbarError::Device(DeviceError::TooManyLevels {
+                requested: levels,
+                supported: MAX_CACHED_LEVELS,
+            }));
+        }
         Ok(())
     }
 
     /// Per-plane partial sums of one packed bit-plane read, written into
-    /// `out` (cleared first) as `out[row * planes + plane]`: each activated
-    /// column's effective on-current is digitized through `ladder` into its
-    /// multi-level state, and plane `q` counts the activated columns whose
-    /// state has bit `bit_offsets[slot] + q` set, in the committed 4-lane
-    /// summation order (see [`crate::cache`]'s module docs).
-    /// `bit_offsets[slot]` annotates `activation.active_columns()[slot]`
-    /// with the bit position of that column's selected digit.
+    /// `out` (cleared first) as `out[row * planes + plane]`: plane `q`
+    /// counts the activated columns whose multi-level state has bit
+    /// `bit_offsets[slot] + q` set. `bit_offsets[slot]` annotates
+    /// `activation.active_columns()[slot]` with the bit position of that
+    /// column's selected digit.
     ///
-    /// `level_scratch` is the caller's reusable digitizing buffer; the
-    /// partials are exact integers in `f64`, ready for the sensing chain's
-    /// shift-add merge. Counts as one read of every wordline for the
-    /// disturb model, exactly like [`TileGrid::wordline_currents_into`].
+    /// Each cell's state is its effective on-current digitized through the
+    /// [`LevelLadder`] spanning the programmer's read window and levels,
+    /// kept with the conductance cache: built on the
+    /// first packed read after a full rebuild and patched with every
+    /// sparse refresh, so a read is integer bit counting. The partials are
+    /// exact integers in `f64`, ready for the sensing chain's shift-add
+    /// merge. Counts as one read of every wordline for the disturb model,
+    /// exactly like [`TileGrid::wordline_currents_into`].
     ///
     /// # Errors
     ///
     /// Returns [`CrossbarError::ActivationLengthMismatch`] when the
     /// activation was built for a different layout or `bit_offsets` does not
-    /// annotate every activated column.
+    /// annotate every activated column, and [`CrossbarError::Device`] when
+    /// the ladder is invalid or has more than 65536 levels.
     pub fn plane_partial_sums_into(
         &self,
         activation: &Activation,
         bit_offsets: &[u8],
         planes: usize,
-        ladder: &LevelLadder,
-        level_scratch: &mut Vec<usize>,
         out: &mut Vec<f64>,
     ) -> Result<()> {
         self.plane_partial_sums_batch_into(
             std::slice::from_ref(activation),
             bit_offsets,
             planes,
-            ladder,
-            level_scratch,
             out,
         )
     }
 
     /// Uncached packed read: evaluates the FeFET I-V model — with the
     /// configured non-ideality stack — for every activated cell on every
-    /// call and digitizes through the same ladder and summation order as
-    /// [`TileGrid::plane_partial_sums_into`]. The reference oracle for the
-    /// packed-read equivalence tests; does **not** register wordline reads.
+    /// call and digitizes it through the same ladder every time. The
+    /// reference oracle for the packed-read equivalence tests; does **not**
+    /// register wordline reads.
     ///
     /// # Errors
     ///
@@ -1195,20 +1249,18 @@ impl TileGrid {
         activation: &Activation,
         bit_offsets: &[u8],
         planes: usize,
-        ladder: &LevelLadder,
     ) -> Result<Vec<f64>> {
-        self.check_bit_offsets(std::slice::from_ref(activation), bit_offsets)?;
+        self.check_packed_reads(std::slice::from_ref(activation), bit_offsets)?;
+        let ladder = self.ladder()?;
         let rows = self.plan.layout().rows();
         let mut out = Vec::with_capacity(rows * planes);
-        let mut level_scratch = Vec::with_capacity(activation.len());
         for row in 0..rows {
             row_plane_partials(
                 |column| self.evaluate_cell(row, column).0,
                 activation.active_columns(),
                 bit_offsets,
                 planes,
-                ladder,
-                &mut level_scratch,
+                &ladder,
                 &mut out,
             );
         }
@@ -1224,39 +1276,25 @@ impl TileGrid {
     ///
     /// # Errors
     ///
-    /// Returns [`CrossbarError::ActivationLengthMismatch`] when any
-    /// activation was built for a different layout or `bit_offsets` does
-    /// not annotate exactly the activated columns of every read (before any
-    /// partial is written).
+    /// Same as [`TileGrid::plane_partial_sums_into`], checked for every read
+    /// before any partial is written.
     pub fn plane_partial_sums_batch_into(
         &self,
         activations: &[Activation],
         bit_offsets: &[u8],
         planes: usize,
-        ladder: &LevelLadder,
-        level_scratch: &mut Vec<usize>,
         out: &mut Vec<f64>,
     ) -> Result<()> {
-        self.check_bit_offsets(activations, bit_offsets)?;
+        self.check_packed_reads(activations, bit_offsets)?;
         let rows = self.plan.layout().rows();
         out.clear();
         out.reserve(rows * planes * activations.len());
         let mut cursor = 0usize;
-        self.for_each_read(activations.len(), |cache, read| {
-            let activation = &activations[read];
-            let offsets = &bit_offsets[cursor..cursor + activation.len()];
-            cursor += activation.len();
-            for row in 0..rows {
-                row_plane_partials(
-                    |column| cache.on_current(row, column),
-                    activation.active_columns(),
-                    offsets,
-                    planes,
-                    ladder,
-                    level_scratch,
-                    out,
-                );
-            }
+        self.for_each_read(activations.len(), true, |cache, read| {
+            let columns = activations[read].active_columns();
+            let offsets = &bit_offsets[cursor..cursor + columns.len()];
+            cursor += columns.len();
+            cache.plane_partials(columns, offsets, planes, out);
         });
         Ok(())
     }
@@ -1651,7 +1689,7 @@ impl TileGrid {
     /// map. Does not count as wordline reads.
     pub fn current_map_into(&self, out: &mut Vec<f64>) {
         out.clear();
-        self.with_cache(|cache| out.extend_from_slice(cache.on_currents()));
+        self.with_cache(false, |cache| out.extend_from_slice(cache.on_currents()));
     }
 }
 
@@ -2282,54 +2320,29 @@ mod tests {
         assert_eq!(grid.spares_used(), 1);
     }
 
-    fn test_ladder(programmer: &LevelProgrammer) -> LevelLadder {
-        LevelLadder::new(
-            programmer.min_current(),
-            programmer.max_current(),
-            programmer.levels(),
-        )
-        .unwrap()
-    }
-
     #[test]
     fn packed_fabric_partials_match_monolithic_and_oracle() {
         let (grid, array) = grid_and_array();
         let layout = *grid.layout();
-        let ladder = test_ladder(grid.programmer());
         let activation = Activation::from_observation(&layout, &[1, 3, 2, 0]).unwrap();
         let bit_offsets = vec![0u8, 2, 0, 2];
-        let mut scratch = Vec::new();
         let mut fabric = Vec::new();
         let mut monolithic = Vec::new();
-        grid.plane_partial_sums_into(
-            &activation,
-            &bit_offsets,
-            2,
-            &ladder,
-            &mut scratch,
-            &mut fabric,
-        )
-        .unwrap();
+        grid.plane_partial_sums_into(&activation, &bit_offsets, 2, &mut fabric)
+            .unwrap();
         array
-            .plane_partial_sums_into(
-                &activation,
-                &bit_offsets,
-                2,
-                &ladder,
-                &mut scratch,
-                &mut monolithic,
-            )
+            .plane_partial_sums_into(&activation, &bit_offsets, 2, &mut monolithic)
             .unwrap();
         assert_eq!(fabric.len(), layout.rows() * 2);
         assert_eq!(fabric, monolithic);
         assert_eq!(
             fabric,
-            grid.plane_partial_sums_reference(&activation, &bit_offsets, 2, &ladder)
+            grid.plane_partial_sums_reference(&activation, &bit_offsets, 2)
                 .unwrap()
         );
         // Offset slices shorter than the activation are rejected.
         assert!(grid
-            .plane_partial_sums_reference(&activation, &bit_offsets[..2], 2, &ladder)
+            .plane_partial_sums_reference(&activation, &bit_offsets[..2], 2)
             .is_err());
     }
 
@@ -2337,39 +2350,23 @@ mod tests {
     fn noisy_packed_fabric_matches_monolithic_under_disturb() {
         let (grid, array) = noisy_grid_and_array();
         let layout = *grid.layout();
-        let ladder = test_ladder(grid.programmer());
         let activation = Activation::all_columns(&layout);
         let bit_offsets = vec![1u8; activation.len()];
-        let mut scratch = Vec::new();
         let mut fabric = Vec::new();
         let mut monolithic = Vec::new();
         // Read-disturb tiers keep crossing; the packed fabric path, the
         // packed monolithic path and the uncached oracle must stay in
         // lockstep on every single read.
         for _ in 0..20 {
-            grid.plane_partial_sums_into(
-                &activation,
-                &bit_offsets,
-                2,
-                &ladder,
-                &mut scratch,
-                &mut fabric,
-            )
-            .unwrap();
+            grid.plane_partial_sums_into(&activation, &bit_offsets, 2, &mut fabric)
+                .unwrap();
             array
-                .plane_partial_sums_into(
-                    &activation,
-                    &bit_offsets,
-                    2,
-                    &ladder,
-                    &mut scratch,
-                    &mut monolithic,
-                )
+                .plane_partial_sums_into(&activation, &bit_offsets, 2, &mut monolithic)
                 .unwrap();
             assert_eq!(fabric, monolithic);
             assert_eq!(
                 fabric,
-                grid.plane_partial_sums_reference(&activation, &bit_offsets, 2, &ladder)
+                grid.plane_partial_sums_reference(&activation, &bit_offsets, 2)
                     .unwrap()
             );
         }
@@ -2381,7 +2378,6 @@ mod tests {
         let (grid, _) = noisy_grid_and_array();
         let (sequential, _) = noisy_grid_and_array();
         let layout = *grid.layout();
-        let ladder = test_ladder(grid.programmer());
         let reads: Vec<(Activation, Vec<u8>)> = (0..9)
             .map(|i| {
                 let activation =
@@ -2393,22 +2389,14 @@ mod tests {
             .collect();
         let activations: Vec<Activation> = reads.iter().map(|(a, _)| a.clone()).collect();
         let flat_offsets: Vec<u8> = reads.iter().flat_map(|(_, o)| o.clone()).collect();
-        let mut scratch = Vec::new();
         let mut batch_out = Vec::new();
-        grid.plane_partial_sums_batch_into(
-            &activations,
-            &flat_offsets,
-            2,
-            &ladder,
-            &mut scratch,
-            &mut batch_out,
-        )
-        .unwrap();
+        grid.plane_partial_sums_batch_into(&activations, &flat_offsets, 2, &mut batch_out)
+            .unwrap();
         let mut seq_out = Vec::new();
         let mut one = Vec::new();
         for (activation, offsets) in &reads {
             sequential
-                .plane_partial_sums_into(activation, offsets, 2, &ladder, &mut scratch, &mut one)
+                .plane_partial_sums_into(activation, offsets, 2, &mut one)
                 .unwrap();
             seq_out.extend_from_slice(&one);
         }
@@ -2420,11 +2408,10 @@ mod tests {
     fn packed_fabric_reads_survive_spare_row_repair() {
         let mut grid = spare_grid(2);
         let layout = *grid.layout();
-        let ladder = test_ladder(grid.programmer());
         let activation = Activation::all_columns(&layout);
         let bit_offsets = vec![0u8; activation.len()];
         let reference = grid
-            .plane_partial_sums_reference(&activation, &bit_offsets, 2, &ladder)
+            .plane_partial_sums_reference(&activation, &bit_offsets, 2)
             .unwrap();
         crate::fault::apply_scheduled_fault(&mut grid, 2, 10, FaultKind::StuckProgrammed, true)
             .unwrap();
@@ -2433,22 +2420,176 @@ mod tests {
         assert!(grid.is_row_remapped(2));
         // Packed reads through the remap are bit-identical to the pre-fault
         // reference, cached and uncached alike.
-        let mut scratch = Vec::new();
         let mut healed = Vec::new();
-        grid.plane_partial_sums_into(
-            &activation,
-            &bit_offsets,
-            2,
-            &ladder,
-            &mut scratch,
-            &mut healed,
-        )
-        .unwrap();
+        grid.plane_partial_sums_into(&activation, &bit_offsets, 2, &mut healed)
+            .unwrap();
         assert_eq!(healed, reference);
         assert_eq!(
             healed,
-            grid.plane_partial_sums_reference(&activation, &bit_offsets, 2, &ladder)
+            grid.plane_partial_sums_reference(&activation, &bit_offsets, 2)
                 .unwrap()
         );
+    }
+
+    /// One packed read of `packed` checked against the uncached oracle (it
+    /// must hold cell levels afterwards), and one one-hot read of `one_hot`,
+    /// which must not.
+    fn assert_levels_coherent(
+        packed: &TileGrid,
+        one_hot: &TileGrid,
+        activation: &Activation,
+        offsets: &[u8],
+    ) {
+        let mut partials = Vec::new();
+        packed
+            .plane_partial_sums_into(activation, offsets, 2, &mut partials)
+            .unwrap();
+        assert!(packed.has_cell_levels());
+        assert_eq!(
+            partials,
+            packed
+                .plane_partial_sums_reference(activation, offsets, 2)
+                .unwrap()
+        );
+        let mut currents = Vec::new();
+        one_hot
+            .wordline_currents_into(activation, &mut currents)
+            .unwrap();
+        assert!(!one_hot.has_cell_levels());
+    }
+
+    #[test]
+    fn packed_level_cache_stays_coherent_through_maintenance() {
+        let plan = spare_plan(2);
+        assert!(plan.is_multi_tile());
+        let programmer = LevelProgrammer::febim_default(10).unwrap();
+        let mut packed = TileGrid::with_non_idealities(plan, programmer, noisy_stack()).unwrap();
+        packed
+            .program_matrix(&checker_levels(plan.layout()), ProgrammingMode::Ideal)
+            .unwrap();
+        let mut one_hot = packed.clone();
+        let layout = *packed.layout();
+        let activation = Activation::all_columns(&layout);
+        let offsets = vec![1u8; activation.len()];
+        assert_levels_coherent(&packed, &one_hot, &activation, &offsets);
+
+        // A sparse patch refreshes the levels of the touched cells in place.
+        for grid in [&mut packed, &mut one_hot] {
+            grid.cell_mut(1, 3)
+                .unwrap()
+                .device_mut()
+                .set_polarization(febim_device::Polarization::new(0.45));
+            grid.program_cell(2, 12, 7, ProgrammingMode::Ideal).unwrap();
+        }
+        let before = packed.rebuild_stats();
+        assert_levels_coherent(&packed, &one_hot, &activation, &offsets);
+        let after = packed.rebuild_stats();
+        assert_eq!(after.full_rebuilds, before.full_rebuilds);
+        assert_eq!(after.partial_refreshes, before.partial_refreshes + 1);
+
+        // A drift rebuild drops the levels; the next packed read rebuilds them.
+        for grid in [&mut packed, &mut one_hot] {
+            grid.advance_time(500);
+        }
+        assert_levels_coherent(&packed, &one_hot, &activation, &offsets);
+        assert_eq!(
+            packed.rebuild_stats().full_rebuilds,
+            after.full_rebuilds + 1
+        );
+
+        // Read-disturb tiers cross in the middle of a batch: batched reads
+        // equal sequential reads, each of which equals the oracle.
+        let sequential = packed.clone();
+        let reads: Vec<Activation> = (0..9)
+            .map(|i| Activation::from_observation(&layout, &[i % 4, (i + 1) % 4, 0, 3]).unwrap())
+            .collect();
+        let flat_offsets: Vec<u8> = reads
+            .iter()
+            .enumerate()
+            .flat_map(|(i, read)| vec![(i % 3) as u8; read.len()])
+            .collect();
+        let before = packed.rebuild_stats();
+        let mut batch = Vec::new();
+        packed
+            .plane_partial_sums_batch_into(&reads, &flat_offsets, 2, &mut batch)
+            .unwrap();
+        let after = packed.rebuild_stats();
+        assert!(
+            after.full_rebuilds + after.partial_refreshes
+                > before.full_rebuilds + before.partial_refreshes,
+            "a disturb tier must cross inside the batch"
+        );
+        let mut one = Vec::new();
+        for (read, activation) in reads.iter().enumerate() {
+            let offsets = &flat_offsets[read * 4..read * 4 + 4];
+            sequential
+                .plane_partial_sums_into(activation, offsets, 2, &mut one)
+                .unwrap();
+            assert_eq!(
+                one,
+                sequential
+                    .plane_partial_sums_reference(activation, offsets, 2)
+                    .unwrap()
+            );
+            assert_eq!(one[..], batch[read * one.len()..(read + 1) * one.len()]);
+        }
+        let mut currents = Vec::new();
+        one_hot
+            .wordline_currents_batch_into(&reads, &mut currents)
+            .unwrap();
+        assert!(!one_hot.has_cell_levels());
+
+        // A scrub remaps a stuck wordline segment onto a spare row.
+        for grid in [&mut packed, &mut one_hot] {
+            crate::fault::apply_scheduled_fault(grid, 2, 10, FaultKind::StuckProgrammed, true)
+                .unwrap();
+            let outcome = grid.scrub(0.05, ProgrammingMode::Ideal).unwrap();
+            assert!(outcome.rows_remapped >= 1);
+            assert!(grid.is_row_remapped(2));
+        }
+        assert_levels_coherent(&packed, &one_hot, &activation, &offsets);
+    }
+
+    /// 8-bit cells — the widest bit-plane encoding (`MAX_BITPLANE_BITS` in
+    /// `febim-quant`) — have 256 levels: the top level must come back from
+    /// the cached levels exactly, never truncated by their integer type, and
+    /// one level more must move to a wider type.
+    #[test]
+    fn widest_cells_keep_their_top_level() {
+        let layout = CrossbarLayout::new(2, 2, 2, false).unwrap();
+        let plan = TilePlan::new(layout, TileShape::new(1, 2).unwrap()).unwrap();
+        // One plane past the eighth bit reads bit 8 as well.
+        let planes = 9;
+        for levels in [256usize, 257] {
+            let programmer = LevelProgrammer::febim_default(levels).unwrap();
+            let mut grid = TileGrid::new(plan, programmer);
+            let top = levels - 1;
+            let stored = [top, top - 1, 0, top / 2 + 1];
+            grid.program_matrix(&vec![stored.map(Some).to_vec(); 2], ProgrammingMode::Ideal)
+                .unwrap();
+            for (column, &level) in stored.iter().enumerate() {
+                let activation = Activation::from_columns(&layout, &[column]).unwrap();
+                let mut partials = Vec::new();
+                grid.plane_partial_sums_into(&activation, &[0], planes, &mut partials)
+                    .unwrap();
+                let bits: Vec<f64> = (0..planes).map(|bit| ((level >> bit) & 1) as f64).collect();
+                assert_eq!(partials, [bits.clone(), bits].concat(), "level {level}");
+                assert_eq!(
+                    partials,
+                    grid.plane_partial_sums_reference(&activation, &[0], planes)
+                        .unwrap()
+                );
+            }
+        }
+        // Past the widest cached level type, packed reads are a typed error.
+        let grid = TileGrid::new(plan, LevelProgrammer::febim_default(70_000).unwrap());
+        let activation = Activation::from_columns(&layout, &[0]).unwrap();
+        assert!(matches!(
+            grid.plane_partial_sums_into(&activation, &[0], 1, &mut Vec::new()),
+            Err(CrossbarError::Device(DeviceError::TooManyLevels {
+                requested: 70_000,
+                supported: 65_536
+            }))
+        ));
     }
 }
