@@ -32,9 +32,9 @@
 //!   `REGISTRY_BUDGET.json`, re-measured with fresh passes before failing
 //!   so one noisy sweep on a loaded host doesn't flake CI.
 //!
-//! The tenant table, the placements (with their swap pulse/energy prices),
-//! the fleet's swap telemetry and the gate outcomes land in
-//! `BENCH_registry.json`.
+//! The tenant table, the placements (with their swap pulse/energy prices
+//! and each install's wall time, recorded but not gated), the fleet's swap
+//! telemetry and the gate outcomes land in `BENCH_registry.json`.
 //!
 //! Usage:
 //!
@@ -70,8 +70,8 @@ struct RegistryRecord {
     tiles_per_bank: usize,
     requests_per_tenant: usize,
     /// Where each registration landed, with the swap (erase + program
-    /// pulse trains) that placed it.
-    placements: Vec<TenantPlacement>,
+    /// pulse trains) that placed it and the install's wall time.
+    placements: Vec<Install>,
     comparison: RegistryComparison,
     /// Fleet occupancy after the serial sweep (before shutdown).
     occupancy: RegistryReport,
@@ -86,6 +86,15 @@ struct RegistryRecord {
     registry_ns_per_request_budget: f64,
     /// Whether the snapshot/restore round trip served bit-identically.
     snapshot_round_trip_bit_identical: bool,
+}
+
+/// One registration: its placement and how long the install took.
+#[derive(Debug, Serialize)]
+struct Install {
+    /// Wall-clock milliseconds of `register_engine` (placement, eviction
+    /// and programming). Host-dependent, so recorded but not gated.
+    install_ms: f64,
+    placement: TenantPlacement,
 }
 
 struct Tenant {
@@ -201,12 +210,16 @@ fn main() {
         ModelRegistry::new(RegistryConfig::new(banks, tiles_per_bank)).expect("registry");
     let mut placements = Vec::with_capacity(TENANTS);
     for tenant in &tenants {
+        let engine = tenant.engine.clone();
+        let start = Instant::now();
         let placement = registry
-            .register_engine(tenant.id, tenant.engine.clone())
+            .register_engine(tenant.id, engine)
             .expect("register");
+        let install_ms = start.elapsed().as_secs_f64() * 1e3;
         let swap = placement.swap.as_ref().expect("install swap");
         println!(
-            "registered model {} -> bank {} ({} tiles, evicted {:?}, program {} pulses / {:.3e} J)",
+            "registered model {} -> bank {} ({} tiles, evicted {:?}, program {} pulses / {:.3e} J, \
+             {install_ms:.3} ms)",
             placement.model,
             placement.bank,
             placement.tiles,
@@ -214,10 +227,13 @@ fn main() {
             swap.program.pulses,
             swap.program.energy_j
         );
-        placements.push(placement);
+        placements.push(Install {
+            install_ms,
+            placement,
+        });
     }
     assert!(
-        placements.iter().any(|p| !p.evicted.is_empty()),
+        placements.iter().any(|p| !p.placement.evicted.is_empty()),
         "an over-subscribed fleet must evict at least once"
     );
 

@@ -37,6 +37,7 @@ use febim_crossbar::{
     apply_scheduled_fault, Activation, FaultSchedule, ProgrammingMode, RefreshOutcome,
     ScrubOutcome, TileGrid, TilePlan, TileShape,
 };
+use febim_device::energy::write_energy;
 use febim_device::{LevelProgrammer, VariationModel};
 use febim_quant::{bit_offset_of, QuantizedGnbc};
 use serde::{Deserialize, Serialize};
@@ -1006,7 +1007,7 @@ impl<P: SensePricing> GridCore<P> {
         for level in self.program.program().levels().iter().flatten().flatten() {
             let state = programmer.state_for_level(*level).ok()?;
             cost.pulses += u64::from(state.write_config.pulse_count) + 1;
-            cost.energy_j += programmer.write_energy(*level).ok()?;
+            cost.energy_j += write_energy(programmer.params(), state.write_config.pulse_count);
         }
         Some(cost)
     }
@@ -1268,8 +1269,8 @@ mod tests {
     use super::*;
     use febim_data::rng::seeded_rng;
     use febim_data::split::stratified_split;
-    use febim_data::synthetic::iris_like;
-    use febim_device::NonIdealityStack;
+    use febim_data::synthetic::{gaussian_blobs, iris_like};
+    use febim_device::{FeFet, NonIdealityStack, PreisachModel};
     use febim_quant::{Encoding, QuantConfig};
 
     fn trained() -> (
@@ -1283,6 +1284,54 @@ mod tests {
         let quantized =
             QuantizedGnbc::quantize(&model, &split.train, QuantConfig::febim_optimal()).unwrap();
         (Arc::new(model), Arc::new(quantized), split.test)
+    }
+
+    /// Swap pricing of a Fig. 6-scale tiled program (64×512 on 32×128
+    /// tiles) against a per-cell closed-form reference summed in the same
+    /// cell order, under both programming modes.
+    #[test]
+    fn fig6_swap_pricing_matches_the_closed_form_bit_for_bit() {
+        let dataset = gaussian_blobs(64, 32, 12, 3.0, &mut seeded_rng(4242)).unwrap();
+        let split = stratified_split(&dataset, 0.7, &mut seeded_rng(4242)).unwrap();
+        let model = GaussianNaiveBayes::fit(&split.train).unwrap();
+        let base = EngineConfig::febim_default();
+        let quantized =
+            Arc::new(QuantizedGnbc::quantize(&model, &split.train, base.quant).unwrap());
+        for config in [base.clone(), base.with_pulse_programming()] {
+            let fabric = TiledFabricBackend::new(
+                quantized.clone(),
+                &config,
+                TileShape::new(32, 128).unwrap(),
+            )
+            .unwrap();
+            let layout = *fabric.grid().layout();
+            assert_eq!((layout.rows(), layout.columns()), (64, 512));
+            assert_eq!(fabric.tiled_program().plan().tile_count(), 8);
+            let programmer = fabric.grid().programmer();
+            let params = programmer.params();
+            let (mut pulses, mut energy) = (0u64, 0.0f64);
+            for &level in fabric
+                .tiled_program()
+                .program()
+                .levels()
+                .iter()
+                .flatten()
+                .flatten()
+            {
+                let fraction = level as f64 / (programmer.levels() - 1) as f64;
+                let current = programmer.min_current()
+                    + fraction * (programmer.max_current() - programmer.min_current());
+                let vth = FeFet::vth_for_read_current(params, current);
+                let polarization = FeFet::polarization_for_vth(params, vth);
+                let train = PreisachModel::pulses_to_reach_with(params, polarization).unwrap();
+                pulses += u64::from(train) + 1;
+                energy += params.write_energy_per_pulse * (train as f64 + 1.0);
+            }
+            let cost = fabric.program_cost().unwrap();
+            assert_eq!(cost.pulses, pulses);
+            assert_eq!(cost.energy_j.to_bits(), energy.to_bits());
+            assert_eq!(fabric.grid().write_energy().to_bits(), energy.to_bits());
+        }
     }
 
     #[test]

@@ -49,6 +49,7 @@ use std::ops::Range;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use febim_device::energy::write_energy;
 use febim_device::{
     CellContext, DeviceError, LevelProgrammer, NonIdealityStack, ProgrammedState, VariationModel,
 };
@@ -834,7 +835,7 @@ impl TileGrid {
         cell.set_programmed_level(level);
         cell.reset_disturb();
         cell.set_programmed_at(clock);
-        self.write_energy += self.programmer.write_energy(state.level)?;
+        self.write_energy += write_energy(self.programmer.params(), state.write_config.pulse_count);
         Ok(u64::from(state.write_config.pulse_count) + 1)
     }
 
@@ -1316,20 +1317,6 @@ impl TileGrid {
         self.stack.vth_shift(&ctx) + pol_error
     }
 
-    fn level_state<'a>(
-        programmer: &LevelProgrammer,
-        states: &'a mut Vec<Option<ProgrammedState>>,
-        level: usize,
-    ) -> Result<&'a ProgrammedState> {
-        if level >= states.len() {
-            states.resize(level + 1, None);
-        }
-        if states[level].is_none() {
-            states[level] = Some(programmer.state_for_level(level)?);
-        }
-        Ok(states[level].as_ref().expect("just filled"))
-    }
-
     /// The largest effective threshold error (volts) over all programmed
     /// cells — the quantity a recalibration scheduler compares against its
     /// tolerance. Cells already classified as stuck are excluded: their
@@ -1338,7 +1325,6 @@ impl TileGrid {
     pub fn worst_effective_shift(&self) -> f64 {
         let layout = *self.plan.layout();
         let window = self.programmer.params().vth_window();
-        let mut states: Vec<Option<ProgrammedState>> = Vec::new();
         let mut worst = 0.0f64;
         for row in 0..layout.rows() {
             for column in 0..layout.columns() {
@@ -1349,9 +1335,10 @@ impl TileGrid {
                 let Some(level) = cell.programmed_level() else {
                     continue;
                 };
-                let target = Self::level_state(&self.programmer, &mut states, level)
-                    .expect("programmed level was validated at program time")
-                    .clone();
+                let target = self
+                    .programmer
+                    .state_for_level(level)
+                    .expect("programmed level was validated at program time");
                 worst = worst.max(self.effective_shift(row, column, &target, window).abs());
             }
         }
@@ -1399,7 +1386,6 @@ impl TileGrid {
         let layout = *self.plan.layout();
         let window = self.programmer.params().vth_window();
         let energy_per_pulse = self.programmer.params().write_energy_per_pulse;
-        let mut states: Vec<Option<ProgrammedState>> = Vec::new();
         let mut outcome = RefreshOutcome::default();
         for row in 0..layout.rows() {
             let mut refresh_row = false;
@@ -1412,7 +1398,7 @@ impl TileGrid {
                     continue;
                 };
                 outcome.cells_checked += 1;
-                let target = Self::level_state(&self.programmer, &mut states, level)?.clone();
+                let target = self.programmer.state_for_level(level)?;
                 if self.effective_shift(row, column, &target, window).abs() > max_vth_shift {
                     refresh_row = true;
                     break;
@@ -1434,8 +1420,7 @@ impl TileGrid {
                 };
                 let pulses = match mode {
                     ProgrammingMode::Ideal => {
-                        let target =
-                            Self::level_state(&self.programmer, &mut states, level)?.clone();
+                        let target = self.programmer.state_for_level(level)?;
                         cell.device_mut().set_polarization(target.polarization);
                         u64::from(target.write_config.pulse_count) + 1
                     }
@@ -1486,7 +1471,7 @@ impl TileGrid {
     /// One BIST-style scrub pass over the fabric.
     ///
     /// Every programmed cell is read back against the program's expected
-    /// signature (the memoized per-level target states — the same oracle
+    /// signature (the programmer's per-level target states — the same oracle
     /// the conductance cache is built from). A cell out of signature gets
     /// one in-place rewrite attempt and a re-read; a cell that still misses
     /// its target is unrepairable in place, and its wordline *segment* (the
@@ -1519,7 +1504,6 @@ impl TileGrid {
         let col_tiles = self.plan.col_tiles();
         let window = self.programmer.params().vth_window();
         let energy_per_pulse = self.programmer.params().write_energy_per_pulse;
-        let mut states: Vec<Option<ProgrammedState>> = Vec::new();
         let mut outcome = ScrubOutcome::default();
         for row in 0..layout.rows() {
             let tile_row = row / shape.rows;
@@ -1538,7 +1522,7 @@ impl TileGrid {
                     continue;
                 };
                 outcome.cells_checked += 1;
-                let target = Self::level_state(&self.programmer, &mut states, level)?.clone();
+                let target = self.programmer.state_for_level(level)?;
                 if self.effective_shift(row, column, &target, window).abs() <= max_vth_shift {
                     continue;
                 }
@@ -1752,6 +1736,43 @@ mod tests {
             .program_matrix(&levels, ProgrammingMode::Ideal)
             .unwrap();
         (grid, array)
+    }
+
+    #[test]
+    fn decoded_grid_programs_and_prices_like_the_original() {
+        let plan = plan_2x2();
+        let programmer = LevelProgrammer::febim_default(10).unwrap();
+        let mut original = TileGrid::with_non_idealities(plan, programmer, noisy_stack()).unwrap();
+        let text = serde::json::to_string(&original);
+        let mut decoded: TileGrid = serde::json::from_str(&text).unwrap();
+        assert_eq!(decoded.programmer(), original.programmer());
+        assert_eq!(
+            decoded.programmer().all_states(),
+            original.programmer().all_states()
+        );
+        let levels = checker_levels(plan.layout());
+        for mode in [ProgrammingMode::Ideal, ProgrammingMode::PulseTrain] {
+            original.program_matrix(&levels, mode).unwrap();
+            decoded.program_matrix(&levels, mode).unwrap();
+            assert_eq!(
+                decoded.program_cell(2, 11, 9, mode).unwrap(),
+                original.program_cell(2, 11, 9, mode).unwrap()
+            );
+            assert_eq!(decoded.tiles, original.tiles);
+            assert_eq!(
+                decoded.write_energy().to_bits(),
+                original.write_energy().to_bits()
+            );
+        }
+        // A programmer whose window no longer validates fails the decode.
+        let programmer_json = serde::json::to_string(original.programmer());
+        assert!(programmer_json.ends_with(",\"levels\":10}"));
+        let broken = text.replace(
+            &programmer_json,
+            &programmer_json.replace(",\"levels\":10}", ",\"levels\":1}"),
+        );
+        assert_ne!(broken, text);
+        assert!(serde::json::from_str::<TileGrid>(&broken).is_err());
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Multi-level programming: turning target read currents into write-pulse
 //! configurations (Fig. 4(b) of the paper) and applying them to devices.
 
-use serde::{Deserialize, Serialize};
+use serde::{json, Deserialize, Serialize};
 
+use crate::energy;
 use crate::errors::{DeviceError, Result};
 use crate::fefet::FeFet;
 use crate::params::FeFetParams;
@@ -24,7 +25,7 @@ impl WriteConfig {
 
 /// A discrete multi-level state of the device together with everything needed
 /// to program and read it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ProgrammedState {
     /// Zero-based level index (0 = lowest read current).
     pub level: usize,
@@ -38,7 +39,12 @@ pub struct ProgrammedState {
 
 /// Programmer that maps discrete levels to target currents, polarizations and
 /// pulse counts for a given parameter set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Every level's [`ProgrammedState`] is resolved once, when the programmer is
+/// built; programming, pricing and refresh calls read that table. The table
+/// is derived from the four defining fields, so it is neither serialized nor
+/// compared: decoding rebuilds it through [`LevelProgrammer::new`].
+#[derive(Debug, Clone, Serialize)]
 pub struct LevelProgrammer {
     params: FeFetParams,
     /// Read current of the lowest level, in amperes (paper: 0.1 µA).
@@ -47,6 +53,46 @@ pub struct LevelProgrammer {
     max_current: f64,
     /// Number of discrete levels.
     levels: usize,
+    /// `states[level]`: the resolved state of every level, in level order.
+    #[serde(skip)]
+    states: Vec<ProgrammedState>,
+}
+
+impl PartialEq for LevelProgrammer {
+    fn eq(&self, other: &Self) -> bool {
+        self.params == other.params
+            && self.min_current == other.min_current
+            && self.max_current == other.max_current
+            && self.levels == other.levels
+    }
+}
+
+impl<'de> Deserialize<'de> for LevelProgrammer {
+    /// Decodes the four defining fields and rebuilds the level table through
+    /// [`LevelProgrammer::new`], so an invalid window or level count is a
+    /// decode error rather than a programmer that fails later.
+    fn deserialize_json(value: &json::Value) -> std::result::Result<Self, json::Error> {
+        fn field<T: for<'a> Deserialize<'a>>(
+            value: &json::Value,
+            name: &str,
+        ) -> std::result::Result<T, json::Error> {
+            T::deserialize_json(
+                value
+                    .get(name)
+                    .ok_or_else(|| json::Error::missing_field(name, "LevelProgrammer"))?,
+            )
+        }
+        if !value.is_object() {
+            return Err(json::Error::expected("object", "LevelProgrammer"));
+        }
+        Self::new(
+            field(value, "params")?,
+            field(value, "levels")?,
+            field(value, "min_current")?,
+            field(value, "max_current")?,
+        )
+        .map_err(|err| json::Error::new(format!("invalid LevelProgrammer: {err}")))
+    }
 }
 
 /// Default lowest mapped read current (0.1 µA), matching Fig. 4(a).
@@ -62,8 +108,10 @@ impl LevelProgrammer {
     ///
     /// Returns [`DeviceError::InvalidParameter`] if the current window is
     /// empty or non-positive, [`DeviceError::TooManyLevels`] if fewer than two
-    /// levels are requested, and [`DeviceError::TargetUnreachable`] if either
-    /// end of the window cannot be realized by a physical polarization state.
+    /// levels are requested, [`DeviceError::TargetUnreachable`] if either end
+    /// of the window cannot be realized by a physical polarization state, and
+    /// [`DeviceError::ProgrammingDidNotConverge`] if a level has no
+    /// closed-form pulse count.
     pub fn new(
         params: FeFetParams,
         levels: usize,
@@ -83,11 +131,12 @@ impl LevelProgrammer {
                 reason: "current window must satisfy 0 < min < max".to_string(),
             });
         }
-        let programmer = Self {
+        let mut programmer = Self {
             params,
             min_current,
             max_current,
             levels,
+            states: Vec::new(),
         };
         // Both window ends must correspond to programmable polarizations.
         for current in [min_current, max_current] {
@@ -100,6 +149,9 @@ impl LevelProgrammer {
                 });
             }
         }
+        programmer.states = (0..levels)
+            .map(|level| programmer.solve_level(level))
+            .collect::<Result<_>>()?;
         Ok(programmer)
     }
 
@@ -159,14 +211,10 @@ impl LevelProgrammer {
         FeFet::polarization_for_vth(&self.params, vth)
     }
 
-    /// Full programmed-state descriptor for a level index.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same errors as [`LevelProgrammer::target_current`], plus
-    /// [`DeviceError::ProgrammingDidNotConverge`] if the closed-form pulse
-    /// solution does not exist (which the constructor prevents in practice).
-    pub fn state_for_level(&self, level: usize) -> Result<ProgrammedState> {
+    /// Closed-form state of one level: the I–V inversion of its target
+    /// current and the Preisach pulse solve from the erased state. Run once
+    /// per level by [`LevelProgrammer::new`].
+    fn solve_level(&self, level: usize) -> Result<ProgrammedState> {
         let target_current = self.target_current(level)?;
         let polarization = self.polarization_for_current(target_current);
         let pulse_count = PreisachModel::pulses_to_reach_with(&self.params, polarization).ok_or(
@@ -183,13 +231,25 @@ impl LevelProgrammer {
         })
     }
 
-    /// Descriptors for every level, in level order (the data behind Fig. 4(b)).
+    /// Full programmed-state descriptor for a level index, read from the
+    /// table the constructor resolved.
     ///
     /// # Errors
     ///
-    /// Propagates errors from [`LevelProgrammer::state_for_level`].
-    pub fn all_states(&self) -> Result<Vec<ProgrammedState>> {
-        (0..self.levels).map(|l| self.state_for_level(l)).collect()
+    /// Returns [`DeviceError::TooManyLevels`] if `level >= self.levels()`.
+    pub fn state_for_level(&self, level: usize) -> Result<ProgrammedState> {
+        self.states
+            .get(level)
+            .copied()
+            .ok_or(DeviceError::TooManyLevels {
+                requested: level + 1,
+                supported: self.levels,
+            })
+    }
+
+    /// Descriptors for every level, in level order (the data behind Fig. 4(b)).
+    pub fn all_states(&self) -> &[ProgrammedState] {
+        &self.states
     }
 
     /// Programs a device to the requested level using an erase followed by the
@@ -228,8 +288,10 @@ impl LevelProgrammer {
     /// Propagates errors from [`LevelProgrammer::state_for_level`].
     pub fn write_energy(&self, level: usize) -> Result<f64> {
         let state = self.state_for_level(level)?;
-        // One erase pulse plus the programming pulse train.
-        Ok(self.params.write_energy_per_pulse * (state.write_config.pulse_count as f64 + 1.0))
+        Ok(energy::write_energy(
+            &self.params,
+            state.write_config.pulse_count,
+        ))
     }
 
     /// Minimal pulse train that tops a partially relaxed device back up to the
@@ -337,7 +399,7 @@ mod tests {
     #[test]
     fn pulse_counts_increase_with_level() {
         let p = programmer();
-        let states = p.all_states().unwrap();
+        let states = p.all_states();
         assert_eq!(states.len(), 10);
         for pair in states.windows(2) {
             assert!(
@@ -354,7 +416,7 @@ mod tests {
         // Fig. 4(b): roughly 40 pulses for the 0.1 µA state and roughly 70 for
         // the 1.0 µA state.
         let p = programmer();
-        let states = p.all_states().unwrap();
+        let states = p.all_states();
         let first = states.first().unwrap().write_config.pulse_count;
         let last = states.last().unwrap().write_config.pulse_count;
         assert!((30..=50).contains(&first), "first level pulses {first}");
@@ -455,5 +517,111 @@ mod tests {
         assert!(high > low);
         // Order of femtojoules per programmed state.
         assert!(low > 1e-15 && high < 1e-12);
+    }
+
+    /// Today's closed-form state of one level, re-derived from the public
+    /// device model: the oracle the constructor's table must match.
+    fn closed_form(p: &LevelProgrammer, level: usize) -> ProgrammedState {
+        let fraction = level as f64 / (p.levels() - 1) as f64;
+        let target_current = p.min_current() + fraction * (p.max_current() - p.min_current());
+        let vth = FeFet::vth_for_read_current(p.params(), target_current);
+        let polarization = FeFet::polarization_for_vth(p.params(), vth);
+        let pulse_count =
+            PreisachModel::pulses_to_reach_with(p.params(), polarization).expect("reachable");
+        ProgrammedState {
+            level,
+            target_current,
+            polarization,
+            write_config: WriteConfig::new(pulse_count),
+        }
+    }
+
+    #[test]
+    fn level_table_matches_the_closed_form_bit_for_bit() {
+        // Level counts up to the 256-level bit-plane cap, over the paper's
+        // window and two narrower ones.
+        let windows = [
+            (DEFAULT_MIN_READ_CURRENT, DEFAULT_MAX_READ_CURRENT),
+            (0.05e-6, 0.5e-6),
+            (0.3e-6, 0.9e-6),
+        ];
+        for (min_current, max_current) in windows {
+            for levels in 2..=256 {
+                let p = LevelProgrammer::new(
+                    FeFetParams::febim_calibrated(),
+                    levels,
+                    min_current,
+                    max_current,
+                )
+                .unwrap();
+                assert_eq!(p.all_states().len(), levels);
+                for level in 0..levels {
+                    let expected = closed_form(&p, level);
+                    let state = p.state_for_level(level).unwrap();
+                    assert_eq!(state.level, level);
+                    assert_eq!(
+                        state.target_current.to_bits(),
+                        expected.target_current.to_bits()
+                    );
+                    assert_eq!(
+                        state.polarization.value().to_bits(),
+                        expected.polarization.value().to_bits()
+                    );
+                    assert_eq!(state.write_config, expected.write_config);
+                    assert_eq!(p.all_states()[level], state);
+                    let energy = p.params().write_energy_per_pulse
+                        * (expected.write_config.pulse_count as f64 + 1.0);
+                    assert_eq!(p.write_energy(level).unwrap().to_bits(), energy.to_bits());
+                }
+                let too_many = DeviceError::TooManyLevels {
+                    requested: levels + 1,
+                    supported: levels,
+                };
+                let mut device = FeFet::new(p.params().clone());
+                assert_eq!(p.state_for_level(levels).unwrap_err(), too_many);
+                assert_eq!(p.write_energy(levels).unwrap_err(), too_many);
+                assert_eq!(p.program_ideal(&mut device, levels).unwrap_err(), too_many);
+                assert_eq!(
+                    p.program_with_pulses(&mut device, levels).unwrap_err(),
+                    too_many
+                );
+                assert_eq!(p.top_up_pulses(&device, levels).unwrap_err(), too_many);
+                assert_eq!(
+                    p.refresh_with_pulses(&mut device, levels).unwrap_err(),
+                    too_many
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn json_round_trip_rebuilds_the_level_table() {
+        let p = LevelProgrammer::new(FeFetParams::febim_calibrated(), 16, 0.05e-6, 0.5e-6).unwrap();
+        let text = json::to_string(&p);
+        // The table is derived state: only the four defining fields travel.
+        assert!(!text.contains("states"), "{text}");
+        let decoded: LevelProgrammer = json::from_str(&text).unwrap();
+        assert_eq!(decoded, p);
+        assert_eq!(json::to_string(&decoded), text);
+        assert_eq!(decoded.all_states(), p.all_states());
+        assert!(decoded.state_for_level(16).is_err());
+    }
+
+    #[test]
+    fn invalid_decoded_programmer_is_a_json_error() {
+        let text = json::to_string(&programmer());
+        for (from, to) in [
+            ("\"levels\":10", "\"levels\":1"),
+            ("\"min_current\":1e-7", "\"min_current\":2e-6"),
+            ("\"max_current\":1e-6", "\"max_current\":1.0"),
+        ] {
+            assert!(text.contains(from), "{text}");
+            let broken = text.replace(from, to);
+            let err = json::from_str::<LevelProgrammer>(&broken).unwrap_err();
+            assert!(err.to_string().contains("LevelProgrammer"), "{err}");
+        }
+        let missing = text.replace(",\"levels\":10", "");
+        assert!(json::from_str::<LevelProgrammer>(&missing).is_err());
+        assert!(json::from_str::<LevelProgrammer>("[1, 2]").is_err());
     }
 }

@@ -115,7 +115,7 @@ impl LevelCurrentMap {
     /// Propagates device-model errors.
     pub fn programmed_states(&self) -> Result<Vec<ProgrammedState>> {
         let programmer = self.to_programmer(febim_device::FeFetParams::febim_calibrated())?;
-        Ok(programmer.all_states()?)
+        Ok(programmer.all_states().to_vec())
     }
 }
 
