@@ -425,15 +425,57 @@ impl ModelRegistry {
         }))
     }
 
-    /// Serves every sample against `model`, in order.
+    /// Serves every sample against `model` and returns the answers in
+    /// order, each bit-identical to a serial [`ModelRegistry::serve`] of the
+    /// same sample. Pipelined: the model is faulted in once, every sample
+    /// is submitted, then the answers are collected. Samples answered
+    /// [`ServingError::ModelUnavailable`] (an eviction raced them) are
+    /// faulted back in and resubmitted, up to the same attempt budget a
+    /// serial `serve` gets.
     pub fn serve_many(
         &self,
         model: u64,
         samples: &[Vec<f64>],
     ) -> Vec<Result<ServeOutcome, RegistryError>> {
-        samples
-            .iter()
-            .map(|sample| self.serve(model, sample))
+        let mut answers: Vec<Option<Result<ServeOutcome, RegistryError>>> =
+            samples.iter().map(|_| None).collect();
+        let mut pending: Vec<usize> = (0..samples.len()).collect();
+        for _ in 0..FAULT_IN_ATTEMPTS {
+            if pending.is_empty() {
+                break;
+            }
+            if self.ensure_resident(model).is_err() {
+                // Registry errors are not `Clone`: let each remaining sample
+                // meet its own error through the serial path.
+                for index in pending.drain(..) {
+                    answers[index] = Some(self.serve(model, &samples[index]));
+                }
+                break;
+            }
+            let tickets: Vec<(usize, Result<Ticket, ServingError>)> = pending
+                .drain(..)
+                .map(|index| {
+                    let ticket = self
+                        .pool
+                        .submit_routed_blocking(model, samples[index].clone());
+                    (index, ticket)
+                })
+                .collect();
+            for (index, ticket) in tickets {
+                match ticket.and_then(Ticket::wait) {
+                    Ok(outcome) => answers[index] = Some(Ok(outcome)),
+                    Err(ServingError::ModelUnavailable { .. }) => pending.push(index),
+                    Err(err) => answers[index] = Some(Err(RegistryError::Serving(err))),
+                }
+            }
+        }
+        answers
+            .into_iter()
+            .map(|answer| {
+                answer.unwrap_or(Err(RegistryError::Serving(
+                    ServingError::ModelUnavailable { model },
+                )))
+            })
             .collect()
     }
 
@@ -874,6 +916,48 @@ mod tests {
             Err(RegistryError::UnknownModel { model: 42 })
         ));
         assert_bit_identical(&registry.serve_many(1, &samples), &reference);
+    }
+
+    /// Evictions that race a pipelined `serve_many` cost its samples a
+    /// fault-in and a resubmit, never an answer: every sample comes back in
+    /// order and bit-identical. Three evictions stay within the attempt
+    /// budget, so no sample may run out of retries.
+    #[test]
+    fn serve_many_survives_racing_evictions() {
+        let (engine, samples, reference) = tenant(959);
+        let tiles = engine.tiled_program().plan().tile_count();
+        let registry = ModelRegistry::new(RegistryConfig::new(1, tiles)).unwrap();
+        registry.register_engine(1, engine).unwrap();
+        let laps = 40;
+        let stream: Vec<Vec<f64>> = (0..laps).flat_map(|_| samples.clone()).collect();
+        let expected: Vec<InferenceStep> = (0..laps).flat_map(|_| reference.clone()).collect();
+        for _ in 0..3 {
+            let start = std::sync::Barrier::new(2);
+            let done = std::sync::atomic::AtomicBool::new(false);
+            let answers = std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..FAULT_IN_ATTEMPTS - 1 {
+                        // Evict only once the stream has faulted the model
+                        // back in, so every eviction lands mid-stream.
+                        while registry.residence_of(1).is_none() {
+                            if done.load(std::sync::atomic::Ordering::SeqCst) {
+                                return;
+                            }
+                            std::thread::yield_now();
+                        }
+                        registry.evict(1).unwrap();
+                    }
+                });
+                start.wait();
+                let answers = registry.serve_many(1, &stream);
+                done.store(true, std::sync::atomic::Ordering::SeqCst);
+                answers
+            });
+            assert_bit_identical(&answers, &expected);
+        }
+        let stats = registry.shutdown();
+        assert_eq!(stats.failed_requests, 0);
     }
 
     /// Satellite: a model snapshot round-trips through the JSON serde shim

@@ -30,11 +30,27 @@
 //! Completion is batched and wake-free on the fast path: each request's
 //! answer is published into its [`Ticket`]'s cell with a single
 //! release-swap, and a waiting client is unparked only if it actually
-//! parked (it first spins on the cell). No per-request mutex or condvar
-//! round-trip remains anywhere on the submit → serve → complete path; the
-//! only blocking primitives left are the idle-worker parking lot and the
-//! blocking-backpressure waiters, both gated behind counters so the
-//! uncontended path never touches them.
+//! parked. No per-request mutex or condvar round-trip remains anywhere on
+//! the submit → serve → complete path; the only blocking primitives left
+//! are the idle-worker parking lots and the blocking-backpressure waiters,
+//! both gated behind counters so the uncontended path never touches them.
+//!
+//! ## Spin, then park
+//!
+//! One inference takes a few µs, far less than an OS wake-up, so both sides
+//! of a request poll before they park: [`Ticket::wait`] polls its cell and
+//! an idle worker polls for work, a close or a maintenance/swap doorbell,
+//! each for a fixed 50 µs, yielding the core between polls. A blocking
+//! client then collects its answer without being woken, and the worker is
+//! still awake for the client's next request. Spinning needs one of a
+//! process-wide set of slots, one fewer than the host's hardware threads,
+//! so spinners never take the last core from a runnable thread and a
+//! 1-vCPU host parks at once. The park itself is unchanged: the spin only
+//! defers the register-then-recheck protocol. A routed worker parks on its
+//! own condvar, so a push wakes only the bank it is for; close, maintenance
+//! and swap doorbells and health transitions wake every worker. Each
+//! worker counts its parks and its spin hits ([`WorkerReport::idle_parks`],
+//! [`WorkerReport::idle_spin_hits`]).
 //!
 //! ## Backpressure and shutdown
 //!
@@ -60,14 +76,14 @@
 
 use std::any::Any;
 use std::cell::UnsafeCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
@@ -436,8 +452,86 @@ const TICKET_PENDING: u8 = 0;
 const TICKET_WAITING: u8 = 1;
 const TICKET_READY: u8 = 2;
 
-/// How long [`Ticket::wait`] spins on the publish cell before parking.
-const TICKET_SPIN_WAITS: u32 = 64;
+/// How long an idle thread polls before it parks: [`Ticket::wait`] for its
+/// answer, a worker for its next request. One inference is a few µs, so a
+/// blocking client that polls this long collects its answer without an OS
+/// wake-up, and a worker that does is already awake for the client's next
+/// request. Fixed on purpose: budgets that adapt to hits or to measured
+/// waits collapse to their floor, because parked waits are the slow ones.
+const SPIN_BUDGET: Duration = Duration::from_micros(50);
+
+/// How long a thread that finds every spinner slot taken keeps polling for
+/// one before it parks. At a hand-off the thread being waited on still holds
+/// its slot for the one poll it takes to notice its own answer or request.
+const SPIN_SLOT_GRACE: Duration = Duration::from_micros(5);
+
+/// Threads of this process currently spinning in [`spin_until`]. A pure
+/// count that publishes no other data, so `Relaxed` suffices.
+static SPINNERS: AtomicUsize = AtomicUsize::new(0);
+
+/// Spinner slots on a host with `parallelism` hardware threads: one core is
+/// always left to runnable threads, so a 1-vCPU host never spins.
+fn spinner_slots(parallelism: usize) -> usize {
+    parallelism.saturating_sub(1)
+}
+
+/// [`spinner_slots`] of this host, resolved once.
+fn spinner_cap() -> usize {
+    static CAP: OnceLock<usize> = OnceLock::new();
+    *CAP.get_or_init(|| {
+        spinner_slots(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+    })
+}
+
+/// One held spinner slot; dropping it frees the slot.
+struct SpinSlot;
+
+impl SpinSlot {
+    fn try_acquire(cap: usize) -> Option<Self> {
+        SPINNERS
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |spinning| {
+                (spinning < cap).then_some(spinning + 1)
+            })
+            .ok()
+            .map(|_| SpinSlot)
+    }
+}
+
+impl Drop for SpinSlot {
+    fn drop(&mut self) {
+        SPINNERS.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Polls `ready` for up to `budget`, yielding the core before every poll,
+/// and returns whether it came true. Spinning needs one of the
+/// [`spinner_cap`] process-wide slots; a thread that gets none within
+/// [`SPIN_SLOT_GRACE`] gives up, so spinners never outnumber the spare
+/// cores. Callers park after a `false` through their own register-recheck
+/// protocol: the spin only defers it.
+fn spin_until(budget: Duration, mut ready: impl FnMut() -> bool) -> bool {
+    let cap = spinner_cap();
+    if cap == 0 {
+        return false;
+    }
+    let start = Instant::now();
+    let mut slot = None;
+    loop {
+        if slot.is_none() {
+            slot = SpinSlot::try_acquire(cap);
+            if slot.is_none() && start.elapsed() >= SPIN_SLOT_GRACE {
+                return false;
+            }
+        }
+        std::thread::yield_now();
+        if ready() {
+            return true;
+        }
+        if start.elapsed() >= budget {
+            return false;
+        }
+    }
+}
 
 /// One-shot result cell a worker publishes into and (at most) one client
 /// waits on. The state machine is `PENDING → {WAITING →} READY`: the worker
@@ -522,11 +616,9 @@ impl Ticket {
     /// Returns the typed serving error of the request.
     pub fn wait(self) -> ServeResult {
         let cell = &self.cell;
-        for _ in 0..TICKET_SPIN_WAITS {
-            if cell.state.load(Ordering::Acquire) == TICKET_READY {
-                return cell.take_result();
-            }
-            std::hint::spin_loop();
+        let ready = || cell.state.load(Ordering::Acquire) == TICKET_READY;
+        if ready() || spin_until(SPIN_BUDGET, ready) {
+            return cell.take_result();
         }
         // Slow path: register, then announce we are waiting. The CAS can
         // only fail because the answer landed in the meantime.
@@ -796,11 +888,13 @@ struct PoolShared {
     /// `true` (the default): drained requests are answered on shutdown;
     /// `false` (abort): drained requests get the typed shutdown error.
     answer_drained: AtomicBool,
-    /// Workers parked on `idle_cv`. Submitters skip the wake syscall
-    /// entirely while this is zero (the busy-pool fast path).
-    sleepers: AtomicUsize,
+    /// Guards every [`IdleLot`]'s condvar.
     idle_lock: Mutex<()>,
-    idle_cv: Condvar,
+    /// Where idle workers park: one lot shared by a replica pool's workers
+    /// (any of them can steal a request), one per routed worker (only the
+    /// bank hosting a request's model can serve it, so a push wakes that
+    /// bank alone).
+    idle: Vec<IdleLot>,
     /// Producers blocked in `submit_blocking`. Workers skip the wake unless
     /// someone is actually waiting for space.
     blocked: AtomicUsize,
@@ -823,14 +917,13 @@ struct PoolShared {
     /// software fallback instead of letting requests strand.
     serving_workers: AtomicUsize,
     /// Quarantined workers parked while surviving replicas serve. A
-    /// dedicated condvar keeps them out of `idle_cv`'s `notify_one` path, so
-    /// a submitter wake can never land on a worker that must not serve.
+    /// dedicated condvar keeps them out of the idle lots' `notify_one` path,
+    /// so a submitter wake can never land on a worker that must not serve.
     quarantine_lock: Mutex<()>,
     quarantine_cv: Condvar,
     /// Routed mode: each worker hosts its own set of tenant models, jobs are
-    /// pinned to the worker hosting their model, and workers neither steal
-    /// from each other nor rely on `notify_one` wakes that could land on a
-    /// different tenant's worker.
+    /// pinned to the worker hosting their model, workers never steal from
+    /// each other and each parks on its own [`IdleLot`].
     routed: bool,
     /// Per-ring admitted-but-not-popped counts. Only load-bearing in routed
     /// mode, where a worker's park/wake condition is *its own* ring rather
@@ -843,12 +936,21 @@ struct PoolShared {
     mailboxes: Vec<Mailbox>,
 }
 
+/// Parking spot of idle workers. Submitters skip the wake syscall entirely
+/// while `sleepers` is zero (the busy-pool fast path).
+#[derive(Debug, Default)]
+struct IdleLot {
+    /// Workers parked on `cv`.
+    sleepers: AtomicUsize,
+    cv: Condvar,
+}
+
 /// Type-erased swap-request mailbox of one routed worker. Entries are boxed
 /// `SwapRequest<B>` values; the generic worker downcasts on receipt (a
 /// mismatched box is dropped, which answers its ticket with the shutdown
 /// error through the request's drop guard).
 #[derive(Default)]
-struct Mailbox(Mutex<Vec<Box<dyn Any + Send>>>);
+struct Mailbox(Mutex<VecDeque<Box<dyn Any + Send>>>);
 
 impl fmt::Debug for Mailbox {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -870,9 +972,10 @@ impl PoolShared {
             closed: AtomicBool::new(false),
             pushing: AtomicUsize::new(0),
             answer_drained: AtomicBool::new(true),
-            sleepers: AtomicUsize::new(0),
             idle_lock: Mutex::new(()),
-            idle_cv: Condvar::new(),
+            idle: (0..if routed { workers } else { 1 })
+                .map(|_| IdleLot::default())
+                .collect(),
             blocked: AtomicUsize::new(0),
             space_lock: Mutex::new(()),
             space_cv: Condvar::new(),
@@ -928,7 +1031,7 @@ impl PoolShared {
     }
 
     /// Publishes a worker's health transition. Entering quarantine
-    /// decrements the serving count, wakes one surviving worker to steal the
+    /// decrements the serving count, wakes the idle workers to steal the
     /// quarantined ring's leftovers and — when the last serving replica just
     /// left — wakes the quarantine parking lot so fallback serving starts.
     fn publish_health(&self, worker: usize, health: ReplicaHealth) -> ReplicaHealth {
@@ -937,7 +1040,7 @@ impl PoolShared {
         if previous.is_serving() && !health.is_serving() {
             let remaining = self.serving_workers.fetch_sub(1, Ordering::SeqCst) - 1;
             fence(Ordering::SeqCst);
-            self.wake_worker();
+            self.wake_all_workers();
             if remaining == 0 {
                 self.wake_quarantined();
             }
@@ -1013,7 +1116,7 @@ impl PoolShared {
         let start = self.cursor.fetch_add(1, Ordering::Relaxed);
         let rings = self.rings.len();
         let mut job = job;
-        'place: loop {
+        let placed = 'place: loop {
             if self.closed.load(Ordering::SeqCst) {
                 self.queued.fetch_sub(1, Ordering::SeqCst);
                 return Err((job, ServingError::ShutDown));
@@ -1027,7 +1130,7 @@ impl PoolShared {
                 match self.rings[index].push(job) {
                     Ok(()) => {
                         self.ring_queued[index].fetch_add(1, Ordering::SeqCst);
-                        break 'place;
+                        break 'place index;
                     }
                     Err(returned) => job = returned,
                 }
@@ -1041,16 +1144,16 @@ impl PoolShared {
                     match self.rings[index].push(job) {
                         Ok(()) => {
                             self.ring_queued[index].fetch_add(1, Ordering::SeqCst);
-                            break 'place;
+                            break 'place index;
                         }
                         Err(returned) => job = returned,
                     }
                 }
             }
             std::hint::spin_loop();
-        }
+        };
         fence(Ordering::SeqCst);
-        self.wake_worker();
+        self.wake_worker(placed);
         Ok(())
     }
 
@@ -1083,7 +1186,7 @@ impl PoolShared {
             Ok(()) => {
                 self.ring_queued[worker].fetch_add(1, Ordering::SeqCst);
                 fence(Ordering::SeqCst);
-                self.wake_worker();
+                self.wake_worker(worker);
                 Ok(())
             }
             Err(returned) => {
@@ -1206,11 +1309,6 @@ impl PoolShared {
         got
     }
 
-    /// Blocks one worker until work, close or a recalibration request.
-    /// Registers in `sleepers` first and rechecks under the lock (Dekker
-    /// with the submitter's queued-then-sleepers order and the requester's
-    /// bump-then-sleepers order), so neither a push nor a recalibration
-    /// request can slip between the empty sweep and the wait.
     /// Work visible to `worker` while deciding whether to park: its own
     /// ring's count in routed mode (it cannot steal, so a neighbour tenant's
     /// backlog must not keep it awake), the global count otherwise.
@@ -1222,47 +1320,86 @@ impl PoolShared {
         }
     }
 
-    fn idle_wait(&self, worker: usize, recalibration_seen: u64) {
+    /// Whether an idle `worker` has something to do: a close, queued work
+    /// it can pop, or a recalibration/swap generation past
+    /// `recalibration_seen`. Both the idle spin and the park recheck test
+    /// exactly this.
+    fn idle_ready(&self, worker: usize, recalibration_seen: u64) -> bool {
+        self.closed.load(Ordering::SeqCst)
+            || self.pending_work(worker) > 0
+            || self.recalibration.load(Ordering::SeqCst) != recalibration_seen
+    }
+
+    /// The lot `worker` parks on.
+    fn idle_lot(&self, worker: usize) -> &IdleLot {
+        &self.idle[if self.routed { worker } else { 0 }]
+    }
+
+    /// Blocks one worker until work, close or a recalibration request, and
+    /// returns whether it actually parked. Registers in its lot's
+    /// `sleepers` first and rechecks under the lock (Dekker with the
+    /// submitter's queued-then-sleepers order and the requester's
+    /// bump-then-sleepers order), so neither a push nor a recalibration
+    /// request can slip between the empty sweep and the wait.
+    fn idle_wait(&self, worker: usize, recalibration_seen: u64) -> bool {
+        let lot = self.idle_lot(worker);
         let guard = self
             .idle_lock
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        lot.sleepers.fetch_add(1, Ordering::SeqCst);
         fence(Ordering::SeqCst);
-        if self.closed.load(Ordering::SeqCst)
-            || self.pending_work(worker) > 0
-            || self.recalibration.load(Ordering::SeqCst) != recalibration_seen
-        {
-            self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        if self.idle_ready(worker, recalibration_seen) {
+            lot.sleepers.fetch_sub(1, Ordering::SeqCst);
             drop(guard);
             // Admitted work may still be mid-placement: give the producer
             // the core instead of spinning on an empty ring.
             std::thread::yield_now();
-            return;
+            return false;
         }
-        drop(
-            self.idle_cv
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        drop(lot.cv.wait(guard).unwrap_or_else(PoisonError::into_inner));
+        lot.sleepers.fetch_sub(1, Ordering::SeqCst);
+        true
     }
 
-    /// Wakes one idle worker, if any is actually parked. Routed pools wake
-    /// everyone: a `notify_one` could land on a worker hosting a different
-    /// tenant, which would re-park while the right worker keeps sleeping.
-    fn wake_worker(&self) {
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
+    /// Wakes a worker for a job just pushed onto `ring`, if one is actually
+    /// parked: that ring's own worker on a routed pool (no other bank can
+    /// serve it), any one idle worker on a replica pool (any can steal it).
+    fn wake_worker(&self, ring: usize) {
+        let lot = self.idle_lot(ring);
+        if lot.sleepers.load(Ordering::SeqCst) > 0 {
             let _guard = self
                 .idle_lock
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
-            if self.routed {
-                self.idle_cv.notify_all();
-            } else {
-                self.idle_cv.notify_one();
+            lot.cv.notify_one();
+        }
+    }
+
+    /// Wakes every parked worker (close, maintenance/swap doorbells, health
+    /// transitions).
+    fn wake_all_workers(&self) {
+        if self
+            .idle
+            .iter()
+            .any(|lot| lot.sleepers.load(Ordering::SeqCst) > 0)
+        {
+            let _guard = self
+                .idle_lock
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            for lot in &self.idle {
+                lot.cv.notify_all();
             }
         }
+    }
+
+    /// Bumps the maintenance generation — the recalibration, scrub and swap
+    /// doorbell — and wakes every parked worker to honour it.
+    fn ring_doorbell(&self) {
+        self.recalibration.fetch_add(1, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        self.wake_all_workers();
     }
 
     /// Wakes blocked producers, if any is actually parked.
@@ -1284,13 +1421,7 @@ impl PoolShared {
         while self.pushing.load(Ordering::SeqCst) != 0 {
             std::thread::yield_now();
         }
-        {
-            let _guard = self
-                .idle_lock
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            self.idle_cv.notify_all();
-        }
+        self.wake_all_workers();
         {
             let _guard = self
                 .space_lock
@@ -1323,9 +1454,10 @@ impl PoolShared {
         drained
     }
 
-    /// Fills `batch` with the next dispatch: blocks (parking when idle) for
-    /// the first request, then spends up to `max_wait_ticks` yield-polls
-    /// topping the batch up to `max_batch`. Returns
+    /// Fills `batch` with the next dispatch: blocks for the first request —
+    /// polling for up to [`SPIN_BUDGET`] when idle, then parking — and
+    /// spends up to `max_wait_ticks` yield-polls topping the batch up to
+    /// `max_batch`. Returns
     /// [`FillOutcome::Closed`] when the pool is closed and every ring has
     /// drained (the worker should exit), and [`FillOutcome::Recalibrate`]
     /// (with an empty batch) when a recalibration request past
@@ -1339,6 +1471,7 @@ impl PoolShared {
         max_batch: usize,
         max_wait_ticks: u32,
         recalibration_seen: u64,
+        report: &mut WorkerReport,
     ) -> FillOutcome {
         loop {
             if self.pop_any(worker, batch, max_batch) > 0 {
@@ -1355,7 +1488,11 @@ impl PoolShared {
             if self.recalibration.load(Ordering::SeqCst) != recalibration_seen {
                 return FillOutcome::Recalibrate;
             }
-            self.idle_wait(worker, recalibration_seen);
+            if spin_until(SPIN_BUDGET, || self.idle_ready(worker, recalibration_seen)) {
+                report.idle_spin_hits += 1;
+            } else if self.idle_wait(worker, recalibration_seen) {
+                report.idle_parks += 1;
+            }
         }
         let mut ticks = 0u32;
         while batch.len() < max_batch
@@ -1459,6 +1596,12 @@ pub struct WorkerReport {
     /// Routed requests answered with [`ServingError::ModelUnavailable`]
     /// because the model was swapped out after the request was queued.
     pub unrouted: u64,
+    /// Times this worker went idle and parked on its condvar (each park
+    /// costs an OS wake-up to leave).
+    pub idle_parks: u64,
+    /// Times this worker went idle and its bounded spin found work, a close
+    /// or a doorbell before it had to park.
+    pub idle_spin_hits: u64,
     /// Whether this replica ended the run quarantined.
     pub quarantined: bool,
     /// Whether this worker's thread died (panicked) instead of reporting:
@@ -1542,6 +1685,10 @@ pub struct PoolStats {
     /// Routed requests answered with [`ServingError::ModelUnavailable`],
     /// across all workers.
     pub unrouted: u64,
+    /// Idle parks on a condvar, across all workers.
+    pub idle_parks: u64,
+    /// Idle spins that ended without parking, across all workers.
+    pub idle_spin_hits: u64,
     /// Replicas that ended the run quarantined.
     pub quarantined_workers: u64,
     /// Per-worker breakdown.
@@ -1582,6 +1729,8 @@ impl PoolStats {
             swap_pulses: 0,
             swap_energy_j: 0.0,
             unrouted: 0,
+            idle_parks: 0,
+            idle_spin_hits: 0,
             quarantined_workers: 0,
             workers,
         };
@@ -1616,6 +1765,8 @@ impl PoolStats {
             stats.swap_pulses += report.swap_pulses;
             stats.swap_energy_j += report.swap_energy_j;
             stats.unrouted += report.unrouted;
+            stats.idle_parks += report.idle_parks;
+            stats.idle_spin_hits += report.idle_spin_hits;
             stats.quarantined_workers += u64::from(report.quarantined);
             queue_wait.merge(&report.queue_wait);
             end_to_end.merge(&report.end_to_end);
@@ -1855,16 +2006,7 @@ impl ServingPool {
     /// configured [`ServingConfig::recalibration`] policy; on a pool built
     /// without one the request is a no-op.
     pub fn request_recalibration(&self) {
-        self.shared.recalibration.fetch_add(1, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
-        if self.shared.sleepers.load(Ordering::SeqCst) > 0 {
-            let _guard = self
-                .shared
-                .idle_lock
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            self.shared.idle_cv.notify_all();
-        }
+        self.shared.ring_doorbell();
     }
 
     /// Asks every worker to run one out-of-band fault scrub on its replica
@@ -2042,7 +2184,7 @@ impl ServingPool {
             .0
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .push(Box::new(request));
+            .push_back(Box::new(request));
         // The maintenance generation bump doubles as the swap doorbell: it
         // wakes the worker if parked and makes a busy one run its
         // between-batches check, where the mailbox is drained.
@@ -2204,7 +2346,7 @@ fn requeue(shared: &PoolShared, worker: usize, job: Job) -> Option<Job> {
                 Ok(()) => {
                     shared.ring_queued[index].fetch_add(1, Ordering::SeqCst);
                     fence(Ordering::SeqCst);
-                    shared.wake_worker();
+                    shared.wake_worker(index);
                     return None;
                 }
                 Err(returned) => job = returned,
@@ -2417,6 +2559,7 @@ fn worker_loop<B: InferenceBackend>(
             config.max_batch,
             config.max_wait_ticks,
             recalibration_seen,
+            &mut report,
         ) {
             FillOutcome::Closed => break,
             FillOutcome::Recalibrate => {
@@ -2504,7 +2647,7 @@ fn worker_loop<B: InferenceBackend>(
 }
 
 /// A quarantined replica stops serving: it parks on the quarantine lot —
-/// deliberately away from `idle_cv`, whose `notify_one` wakes must only
+/// deliberately away from the idle lots, whose `notify_one` wakes must only
 /// reach workers that may serve — until the pool closes, or until the last
 /// serving replica leaves. In the latter case the pool degrades gracefully:
 /// the worker re-enters the serving loop on the exact software twin of the
@@ -2556,6 +2699,7 @@ fn fallback_loop(
             config.max_batch,
             config.max_wait_ticks,
             recalibration_seen,
+            &mut report,
         ) {
             FillOutcome::Closed => break,
             FillOutcome::Recalibrate => {
@@ -2707,7 +2851,9 @@ fn service_swaps<B: InferenceBackend + 'static>(
                 .0
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
-            match mailbox.pop() {
+            // First in, first out: an eviction posted before a re-install
+            // of the same model must run first.
+            match mailbox.pop_front() {
                 Some(boxed) => boxed,
                 None => return,
             }
@@ -2806,6 +2952,7 @@ fn routed_worker_loop<B: InferenceBackend + 'static>(
             config.max_batch,
             config.max_wait_ticks,
             recalibration_seen,
+            &mut report,
         ) {
             FillOutcome::Closed => break,
             FillOutcome::Recalibrate => {
@@ -3962,6 +4109,47 @@ mod tests {
         assert_eq!(stats.unrouted, 0);
     }
 
+    /// Swaps queued behind a busy batch run in the order they were posted:
+    /// an eviction followed by a re-install of the same model leaves the
+    /// model installed and routed, never evicted by its own older request.
+    #[test]
+    fn queued_swaps_run_in_posting_order() {
+        let (train, test) = split_for(917);
+        let gate = Gate::new();
+        let gated = |gate: &Arc<Gate>| {
+            let gate = Arc::clone(gate);
+            FebimEngine::fit_with(
+                &train,
+                EngineConfig::febim_default(),
+                move |quantized, config| {
+                    Ok(GatedBackend {
+                        inner: CrossbarBackend::new(quantized, config)?,
+                        gate,
+                    })
+                },
+            )
+            .unwrap()
+        };
+        let pool =
+            ServingPool::new_routed(vec![vec![(1u64, gated(&gate))]], ServingConfig::default())
+                .unwrap();
+        let sample = test.sample(0).unwrap().to_vec();
+        // Hold the bank's worker inside a batch so both swaps queue up.
+        let held = pool.submit_routed(1, sample.clone()).unwrap();
+        gate.wait_entered(1);
+        let evict = pool.post_swap(0, vec![1u64], None::<(u64, FebimEngine<GatedBackend>)>);
+        let install = pool.post_swap(0, Vec::new(), Some((1u64, gated(&gate))));
+        gate.open();
+        assert!(held.wait().is_ok());
+        assert_eq!(evict.wait().unwrap().evicted, vec![1u64]);
+        assert_eq!(install.wait().unwrap().installed, Some(1));
+        assert_eq!(pool.route_of(1), Some(0));
+        assert!(pool.submit_routed(1, sample).and_then(Ticket::wait).is_ok());
+        let stats = pool.shutdown();
+        assert_eq!(stats.swaps, 2);
+        assert_eq!(stats.unrouted, 0);
+    }
+
     /// A swap left pending at shutdown resolves to the typed shutdown error
     /// instead of hanging its ticket.
     #[test]
@@ -4024,5 +4212,134 @@ mod tests {
             other => panic!("expected WorkerSpawn error, got {other:?}"),
         }
         assert_eq!(spawned, 1);
+    }
+
+    #[test]
+    fn spinner_slots_leave_one_core_to_runnable_threads() {
+        assert_eq!(spinner_slots(0), 0);
+        assert_eq!(spinner_slots(1), 0, "a 1-vCPU host never spins");
+        assert_eq!(spinner_slots(2), 1);
+        assert_eq!(spinner_slots(8), 7);
+    }
+
+    /// A ticket answered at any offset around the waiter's spin → park
+    /// boundary (before it polls, mid-spin, as the budget runs out, after it
+    /// parked) is collected exactly once and never hangs.
+    #[test]
+    fn tickets_completed_around_the_spin_park_boundary_never_hang() {
+        const ITERATIONS: u32 = 10_000;
+        let (to_completer, jobs) = std::sync::mpsc::channel::<(Arc<TicketCell>, Duration)>();
+        let completer = std::thread::spawn(move || {
+            for (cell, delay) in jobs {
+                let start = Instant::now();
+                while start.elapsed() < delay {
+                    std::hint::spin_loop();
+                }
+                cell.complete(Err(ServingError::QueueFull { capacity: 7 }));
+            }
+        });
+        let (answered, answers) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            for iteration in 0..ITERATIONS {
+                // Offsets sweep 0 ..= 2 × SPIN_BUDGET in 1/20 steps, plus a
+                // few µs of jitter so they straddle the boundary.
+                let delay = SPIN_BUDGET * (iteration % 41) / 20
+                    + Duration::from_micros(u64::from(iteration % 7));
+                let cell = Arc::new(TicketCell::new());
+                to_completer
+                    .send((Arc::clone(&cell), delay))
+                    .expect("completer alive");
+                let answer = Ticket { cell }.wait();
+                answered.send(answer).expect("test thread alive");
+            }
+        });
+        for iteration in 0..ITERATIONS {
+            let answer = answers
+                .recv_timeout(Duration::from_secs(20))
+                .unwrap_or_else(|_| panic!("ticket {iteration} hung"));
+            assert_eq!(answer, Err(ServingError::QueueFull { capacity: 7 }));
+        }
+        waiter.join().unwrap();
+        completer.join().unwrap();
+    }
+
+    /// A close or a maintenance/swap doorbell that lands while an idle
+    /// worker spins ends the spin at its next poll instead of being noticed
+    /// only at the park recheck.
+    #[test]
+    fn close_and_doorbells_end_an_idle_spin_promptly() {
+        if spinner_cap() == 0 {
+            return; // this host never spins
+        }
+        for close in [false, true] {
+            let mut serviced = false;
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !serviced && Instant::now() < deadline {
+                let shared = PoolShared::new(1, 4, true);
+                let seen = shared.recalibration.load(Ordering::SeqCst);
+                let polled = AtomicBool::new(false);
+                let (hit, waited) = std::thread::scope(|scope| {
+                    let spinner = scope.spawn(|| {
+                        let start = Instant::now();
+                        let hit = spin_until(Duration::from_secs(60), || {
+                            polled.store(true, Ordering::SeqCst);
+                            shared.idle_ready(0, seen)
+                        });
+                        (hit, start.elapsed())
+                    });
+                    while !polled.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    if close {
+                        shared.close();
+                    } else {
+                        shared.ring_doorbell();
+                    }
+                    spinner.join().unwrap()
+                });
+                // A miss means the spinner found no free slot (other tests
+                // spin too) and gave up within its grace: try again.
+                assert!(hit || waited < Duration::from_secs(1));
+                if hit {
+                    assert!(waited < Duration::from_secs(20), "spin ignored the event");
+                }
+                serviced = hit;
+            }
+            assert!(serviced, "no spin ever held a slot (close = {close})");
+        }
+    }
+
+    /// A push wakes only the bank it is for: a thousand serial requests to
+    /// bank 0 leave bank 1 parked, instead of waking it (into a spin and a
+    /// re-park) on every push.
+    #[test]
+    fn routed_pushes_wake_only_their_own_bank() {
+        let (train, test) = split_for(914);
+        let engine = FebimEngine::fit(&train, EngineConfig::febim_default()).unwrap();
+        let samples = samples_of(&test);
+        let banks = vec![vec![(1u64, engine.clone())], vec![(2u64, engine)]];
+        let pool = ServingPool::new_routed(banks, ServingConfig::default()).unwrap();
+        for index in 0..1000 {
+            let sample = samples[index % samples.len()].clone();
+            let answer = pool
+                .submit_routed_blocking(1, sample)
+                .and_then(Ticket::wait);
+            assert!(answer.is_ok());
+        }
+        let stats = pool.shutdown();
+        assert_eq!(stats.workers[0].requests, 1000);
+        assert!(
+            stats.workers[1].idle_parks <= 2,
+            "bank 1 parked {} times",
+            stats.workers[1].idle_parks
+        );
+        assert_eq!(
+            stats.idle_parks,
+            stats.workers.iter().map(|w| w.idle_parks).sum::<u64>()
+        );
+        assert_eq!(
+            stats.idle_spin_hits,
+            stats.workers.iter().map(|w| w.idle_spin_hits).sum::<u64>()
+        );
     }
 }

@@ -329,7 +329,7 @@ impl Tile {
 /// [`TileGrid::wordline_currents_reference`] path re-evaluates the device
 /// model — including the configured [`NonIdealityStack`] — on every call and
 /// serves as the equivalence oracle.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TileGrid {
     plan: TilePlan,
     programmer: LevelProgrammer,
@@ -342,7 +342,8 @@ pub struct TileGrid {
     stack: NonIdealityStack,
     /// Fabric clock in retention ticks.
     clock: u64,
-    /// Per-global-wordline read counters. Skipped by serialization.
+    /// Per-global-wordline read counters. Skipped by serialization and
+    /// sized from the plan on decode.
     #[serde(skip)]
     row_reads: ReadCounters,
     /// Monotonic version of the fabric's physical state; bumped by every
@@ -379,6 +380,29 @@ impl PartialEq for TileGrid {
     }
 }
 
+/// The serialized fields of a [`TileGrid`]: its physical state. Everything
+/// else is derived, and [`TileGrid::from_state`] rebuilds it.
+#[derive(Deserialize)]
+struct TileGridState {
+    plan: TilePlan,
+    programmer: LevelProgrammer,
+    write_scheme: WriteScheme,
+    tiles: Vec<Tile>,
+    write_energy: f64,
+    stack: NonIdealityStack,
+    clock: u64,
+}
+
+impl<'de> Deserialize<'de> for TileGrid {
+    /// Decodes the physical state and rebuilds the derived state from it, so
+    /// the read counters match the decoded plan.
+    fn deserialize_json(
+        value: &serde::json::Value,
+    ) -> std::result::Result<Self, serde::json::Error> {
+        TileGridState::deserialize_json(value).map(Self::from_state)
+    }
+}
+
 impl TileGrid {
     /// Creates an erased, ideal (no non-idealities) fabric for the given
     /// plan and level programmer.
@@ -401,7 +425,7 @@ impl TileGrid {
                 }
             })
             .collect();
-        Self {
+        Self::from_state(TileGridState {
             plan,
             programmer,
             write_scheme: WriteScheme::febim_default(),
@@ -409,7 +433,22 @@ impl TileGrid {
             write_energy: 0.0,
             stack: NonIdealityStack::ideal(),
             clock: 0,
-            row_reads: ReadCounters::new(plan.layout().rows()),
+        })
+    }
+
+    /// A grid in the given physical state with fresh derived state: zeroed
+    /// read counters, one per wordline of the plan, and a conductance cache
+    /// that the first read builds.
+    fn from_state(state: TileGridState) -> Self {
+        Self {
+            row_reads: ReadCounters::new(state.plan.layout().rows()),
+            plan: state.plan,
+            programmer: state.programmer,
+            write_scheme: state.write_scheme,
+            tiles: state.tiles,
+            write_energy: state.write_energy,
+            stack: state.stack,
+            clock: state.clock,
             state_epoch: std::cell::Cell::new(0),
             cache_epoch: std::cell::Cell::new(0),
             dirty: RefCell::new(DirtyState::All),
@@ -1773,6 +1812,31 @@ mod tests {
         );
         assert_ne!(broken, text);
         assert!(serde::json::from_str::<TileGrid>(&broken).is_err());
+    }
+
+    /// A decoded grid reads under a read-disturb stack exactly like the
+    /// grid it was encoded from: its per-row read counters come back sized
+    /// from the plan (zeroed, as serialization skips them), not empty.
+    #[test]
+    fn decoded_grid_reads_under_read_disturb() {
+        let (mut original, _) = noisy_grid_and_array();
+        let mut decoded: TileGrid =
+            serde::json::from_str(&serde::json::to_string(&original)).unwrap();
+        let all = Activation::all_columns(original.plan().layout());
+        for _ in 0..20 {
+            assert_eq!(
+                decoded.wordline_currents(&all).unwrap(),
+                original.wordline_currents(&all).unwrap()
+            );
+        }
+        assert_eq!(decoded.row_reads(0).unwrap(), 20);
+        assert_eq!(decoded, original);
+        decoded.advance_time(50);
+        original.advance_time(50);
+        assert_eq!(
+            decoded.wordline_currents(&all).unwrap(),
+            original.wordline_currents(&all).unwrap()
+        );
     }
 
     #[test]
