@@ -23,11 +23,14 @@
 //! interleave), a **single-in-flight** phase times serial blocking
 //! `ModelRegistry::serve` calls — one request in flight, so each pays the
 //! full submit → worker → answer → client hand-off — and reports their
-//! client-observed p50/p99 (recorded, not gated), and a snapshot/restore
-//! phase round-trips one tenant through the JSON serde shim into a fresh
-//! fleet and re-verifies bit-identity against the original engine.
+//! client-observed p50/p99, a **concurrent serial** phase repeats it with
+//! every resident tenant's client serving at once across both banks (each
+//! bank's worker idles and wakes between requests while the other bank's
+//! client runs; recorded, not gated), and a snapshot/restore phase
+//! round-trips one tenant through the JSON serde shim into a fresh fleet
+//! and re-verifies bit-identity against the original engine.
 //!
-//! Two gates run on every invocation (CI included, via `--quick`):
+//! Three gates run on every invocation (CI included, via `--quick`):
 //!
 //! * **identity gate**: every tenant row must be bit-identical to its
 //!   dedicated engine (hard assert, no tolerance);
@@ -35,7 +38,10 @@
 //!   ns/request must stay at or under the checked-in
 //!   `registry_ns_per_request_budget` of `REGISTRY_BUDGET.json`,
 //!   re-measured with fresh passes before failing so one noisy sweep on a
-//!   loaded host doesn't flake CI.
+//!   loaded host doesn't flake CI;
+//! * **wake gate**: the single-in-flight p99 must stay at or under the
+//!   loose `single_in_flight_p99_ns_budget`, re-measured before failing,
+//!   so a gross regression of the blocking serve's wake path fails.
 //!
 //! The tenant table, the placements (with their swap pulse/energy prices
 //! and each install's wall time, recorded but not gated), the fleet's swap
@@ -85,26 +91,52 @@ struct RegistryRecord {
     mixed_ns_per_request: f64,
     /// Resident tenants the concurrent mix spanned.
     mixed_tenants: usize,
-    /// Client-observed latency of serial blocking `serve` calls.
-    single_in_flight: SingleInFlight,
+    /// Client-observed latency of serial blocking `serve` calls from one
+    /// client.
+    single_in_flight: SerialServes,
+    /// The same, with every resident tenant's client serving at once across
+    /// both banks.
+    concurrent_serial: SerialServes,
     /// Smallest per-tenant registry ns/request — the budget-gate headline.
     best_registry_ns_per_request: f64,
     /// The `registry_ns_per_request_budget` the headline was gated against.
     registry_ns_per_request_budget: f64,
+    /// The `single_in_flight_p99_ns_budget` the single-in-flight p99 was
+    /// gated against.
+    single_in_flight_p99_ns_budget: f64,
     /// Whether the snapshot/restore round trip served bit-identically.
     snapshot_round_trip_bit_identical: bool,
 }
 
 /// Client-observed latency of serial blocking `ModelRegistry::serve`
-/// calls: one request in flight at a time over every resident tenant's
-/// stream, so each call pays the whole hand-off to the bank's worker and
-/// back. Host-dependent, so recorded but not gated.
+/// calls: each client keeps one request in flight at a time, so every call
+/// pays the whole hand-off to the bank's worker and back.
 #[derive(Debug, Serialize)]
-struct SingleInFlight {
+struct SerialServes {
     /// Calls timed.
     samples: usize,
+    /// Wall-clock ns/request of the whole phase.
+    ns_per_request: f64,
     p50_ns: f64,
     p99_ns: f64,
+}
+
+impl SerialServes {
+    /// Nearest-rank percentiles over the exact per-call latencies; `wall_ns`
+    /// is the phase's wall time.
+    fn from_latencies(mut latencies: Vec<u64>, wall_ns: f64) -> Self {
+        latencies.sort_unstable();
+        let rank = |percentile: f64| {
+            let index = ((percentile * latencies.len() as f64).ceil() as usize).max(1) - 1;
+            latencies[index.min(latencies.len() - 1)] as f64
+        };
+        Self {
+            samples: latencies.len(),
+            ns_per_request: wall_ns / latencies.len() as f64,
+            p50_ns: rank(0.50),
+            p99_ns: rank(0.99),
+        }
+    }
 }
 
 /// One registration: its placement and how long the install took.
@@ -189,6 +221,62 @@ fn measure_registry(registry: &ModelRegistry, tenant: &Tenant, passes: usize) ->
         }
     }
     (best_ns, identical)
+}
+
+/// Serves `samples` against model `id` one blocking `serve` call at a
+/// time, checking each prediction against `reference`, and returns each
+/// call's client-observed latency in ns.
+fn timed_serves(
+    registry: &ModelRegistry,
+    id: u64,
+    samples: &[Vec<f64>],
+    reference: &[InferenceStep],
+) -> Vec<u64> {
+    samples
+        .iter()
+        .zip(reference)
+        .map(|(sample, step)| {
+            let start = Instant::now();
+            let outcome = registry.serve(id, sample).expect("serial answer");
+            let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            assert_eq!(
+                outcome.prediction, step.prediction,
+                "serial-serve divergence"
+            );
+            nanos
+        })
+        .collect()
+}
+
+/// Times blocking `serve` calls over every tenant's stream: one client
+/// serving the tenants in turn, or with `concurrent` one client thread per
+/// tenant at once.
+fn serial_serves(registry: &ModelRegistry, tenants: &[&Tenant], concurrent: bool) -> SerialServes {
+    let start = Instant::now();
+    let latencies: Vec<u64> = if concurrent {
+        std::thread::scope(|scope| {
+            let clients: Vec<_> = tenants
+                .iter()
+                .map(|tenant| {
+                    // Capture only the Sync parts, as in the tenant mix.
+                    let (id, samples, reference) = (tenant.id, &tenant.samples, &tenant.reference);
+                    scope.spawn(move || timed_serves(registry, id, samples, reference))
+                })
+                .collect();
+            clients
+                .into_iter()
+                .flat_map(|client| client.join().expect("serial client"))
+                .collect()
+        })
+    } else {
+        tenants
+            .iter()
+            .flat_map(|tenant| {
+                timed_serves(registry, tenant.id, &tenant.samples, &tenant.reference)
+            })
+            .collect()
+    };
+    SerialServes::from_latencies(latencies, start.elapsed().as_nanos() as f64)
 }
 
 fn main() {
@@ -322,34 +410,24 @@ fn main() {
         mixed_ns_per_request
     );
 
-    // Single in flight: serial blocking serves over the resident tenants,
-    // each call timed from the client. Nearest-rank percentiles over the
-    // exact samples.
-    let mut latencies: Vec<u64> = Vec::with_capacity(mixed_requests);
-    for tenant in &resident {
-        for (sample, step) in tenant.samples.iter().zip(&tenant.reference) {
-            let start = Instant::now();
-            let outcome = registry.serve(tenant.id, sample).expect("serial answer");
-            latencies.push(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            assert_eq!(
-                outcome.prediction, step.prediction,
-                "serial-serve divergence"
-            );
-        }
-    }
-    latencies.sort_unstable();
-    let rank = |percentile: f64| {
-        let index = ((percentile * latencies.len() as f64).ceil() as usize).max(1) - 1;
-        latencies[index.min(latencies.len() - 1)] as f64
-    };
-    let single_in_flight = SingleInFlight {
-        samples: latencies.len(),
-        p50_ns: rank(0.50),
-        p99_ns: rank(0.99),
-    };
+    // Single in flight: one client serving the resident tenants in turn,
+    // then every resident tenant's client at once across both banks, so
+    // each bank's worker goes idle and wakes between requests while the
+    // other bank's client runs.
+    let mut single_in_flight = serial_serves(&registry, &resident, false);
     println!(
         "single in flight: {} serial serves, p50 {:.1} ns, p99 {:.1} ns",
         single_in_flight.samples, single_in_flight.p50_ns, single_in_flight.p99_ns
+    );
+    let concurrent_serial = serial_serves(&registry, &resident, true);
+    println!(
+        "concurrent serial serves: {} clients, {} serves, {:.1} ns/request, p50 {:.1} ns, \
+         p99 {:.1} ns",
+        resident.len(),
+        concurrent_serial.samples,
+        concurrent_serial.ns_per_request,
+        concurrent_serial.p50_ns,
+        concurrent_serial.p99_ns
     );
 
     // Snapshot/restore round trip: one tenant through the JSON serde shim
@@ -398,6 +476,36 @@ fn main() {
          REGISTRY_BUDGET.json"
     );
 
+    // Wake-path gate: the single-in-flight p99 must hold its loose
+    // checked-in budget. Re-measure before failing a noisy sweep.
+    let p99_budget = load_budget(&budget_path, "single_in_flight_p99_ns_budget");
+    for attempt in 0..3 {
+        if single_in_flight.p99_ns <= p99_budget {
+            break;
+        }
+        println!(
+            "re-measuring single in flight (attempt {}, p99 {:.1} ns vs {:.1} ns budget)",
+            attempt + 1,
+            single_in_flight.p99_ns,
+            p99_budget
+        );
+        let again = serial_serves(&registry, &resident, false);
+        if again.p99_ns < single_in_flight.p99_ns {
+            single_in_flight = again;
+        }
+    }
+    println!(
+        "wake gate: single-in-flight p99 {:.1} ns (budget {p99_budget:.1} ns)",
+        single_in_flight.p99_ns
+    );
+    assert!(
+        single_in_flight.p99_ns <= p99_budget,
+        "a blocking serve's wake path regressed past the checked-in budget \
+         ({:.1} ns > {p99_budget:.1} ns); fix the regression or re-baseline \
+         REGISTRY_BUDGET.json",
+        single_in_flight.p99_ns
+    );
+
     let occupancy = registry.report();
     let stats = registry.shutdown();
     assert_eq!(stats.failed_requests, 0, "no request may fail in the sweep");
@@ -429,8 +537,10 @@ fn main() {
         mixed_ns_per_request,
         mixed_tenants: resident.len(),
         single_in_flight,
+        concurrent_serial,
         best_registry_ns_per_request: best_ns,
         registry_ns_per_request_budget: budget,
+        single_in_flight_p99_ns_budget: p99_budget,
         snapshot_round_trip_bit_identical: snapshot_identical,
     };
     match std::fs::write(&out_path, serde::json::to_string_pretty(&record) + "\n") {

@@ -49,7 +49,7 @@ const FAULT_IN_ATTEMPTS: usize = 4;
 // ---------------------------------------------------------------------------
 
 /// Typed errors of the model registry.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum RegistryError {
     /// The model id is not in the catalog.
     UnknownModel {
@@ -428,10 +428,14 @@ impl ModelRegistry {
     /// Serves every sample against `model` and returns the answers in
     /// order, each bit-identical to a serial [`ModelRegistry::serve`] of the
     /// same sample. Pipelined: the model is faulted in once, every sample
-    /// is submitted, then the answers are collected. Samples answered
-    /// [`ServingError::ModelUnavailable`] (an eviction raced them) are
-    /// faulted back in and resubmitted, up to the same attempt budget a
-    /// serial `serve` gets.
+    /// is submitted, then the answers are collected. Each admitted sample
+    /// refreshes the model's LRU stamp, as a serial `serve` would, so a
+    /// long stream never looks idle to the eviction policy. Samples
+    /// answered [`ServingError::ModelUnavailable`] (an eviction raced them)
+    /// are faulted back in and resubmitted. Only a round that answers no
+    /// sample uses up an attempt, so the stream gives up on its remaining
+    /// samples after as many fruitless fault-ins in a row as a serial
+    /// `serve` allows one sample.
     pub fn serve_many(
         &self,
         model: u64,
@@ -440,15 +444,11 @@ impl ModelRegistry {
         let mut answers: Vec<Option<Result<ServeOutcome, RegistryError>>> =
             samples.iter().map(|_| None).collect();
         let mut pending: Vec<usize> = (0..samples.len()).collect();
-        for _ in 0..FAULT_IN_ATTEMPTS {
-            if pending.is_empty() {
-                break;
-            }
-            if self.ensure_resident(model).is_err() {
-                // Registry errors are not `Clone`: let each remaining sample
-                // meet its own error through the serial path.
+        let mut fruitless = 0;
+        while !pending.is_empty() && fruitless < FAULT_IN_ATTEMPTS {
+            if let Err(err) = self.ensure_resident(model) {
                 for index in pending.drain(..) {
-                    answers[index] = Some(self.serve(model, &samples[index]));
+                    answers[index] = Some(Err(err.clone()));
                 }
                 break;
             }
@@ -458,9 +458,13 @@ impl ModelRegistry {
                     let ticket = self
                         .pool
                         .submit_routed_blocking(model, samples[index].clone());
+                    if ticket.is_ok() {
+                        self.touch(model);
+                    }
                     (index, ticket)
                 })
                 .collect();
+            let submitted = tickets.len();
             for (index, ticket) in tickets {
                 match ticket.and_then(Ticket::wait) {
                     Ok(outcome) => answers[index] = Some(Ok(outcome)),
@@ -468,7 +472,13 @@ impl ModelRegistry {
                     Err(err) => answers[index] = Some(Err(RegistryError::Serving(err))),
                 }
             }
+            fruitless = if pending.len() == submitted {
+                fruitless + 1
+            } else {
+                0
+            };
         }
+        self.touch(model);
         answers
             .into_iter()
             .map(|answer| {
@@ -604,6 +614,16 @@ impl ModelRegistry {
         }
         let result = self.install(&mut state, model, None);
         Self::finish_install(state, result)
+    }
+
+    /// Refreshes a resident model's LRU stamp; a no-op for a model that is
+    /// not resident.
+    fn touch(&self, model: u64) {
+        let mut state = self.lock_state();
+        let stamp = state.tick();
+        if let Some(placement) = state.resident.get_mut(&model) {
+            placement.last_used = stamp;
+        }
     }
 
     /// Places `model` onto a bank — already-resident models just refresh
@@ -918,46 +938,144 @@ mod tests {
         assert_bit_identical(&registry.serve_many(1, &samples), &reference);
     }
 
+    /// Model `model`'s LRU stamp, if it is resident.
+    fn stamp_of(registry: &ModelRegistry, model: u64) -> Option<u64> {
+        registry
+            .lock_state()
+            .resident
+            .get(&model)
+            .map(|placement| placement.last_used)
+    }
+
     /// Evictions that race a pipelined `serve_many` cost its samples a
     /// fault-in and a resubmit, never an answer: every sample comes back in
-    /// order and bit-identical. Three evictions stay within the attempt
-    /// budget, so no sample may run out of retries.
+    /// order and bit-identical. Up to twice `FAULT_IN_ATTEMPTS` evictions
+    /// race one stream, and more than `FAULT_IN_ATTEMPTS` must land. Each
+    /// lands once the stream has admitted more samples than the pool's
+    /// queue holds since its last fault-in, so at least one of them was
+    /// already dispatched and is answered. A stream that spent one attempt
+    /// budget on all of its evictions would lose its tail.
     #[test]
-    fn serve_many_survives_racing_evictions() {
+    fn serve_many_survives_more_racing_evictions_than_attempts() {
         let (engine, samples, reference) = tenant(959);
         let tiles = engine.tiled_program().plan().tile_count();
-        let registry = ModelRegistry::new(RegistryConfig::new(1, tiles)).unwrap();
+        let config = RegistryConfig::new(1, tiles);
+        let progress = config.serving.queue_depth as u64 + 1;
+        let registry = ModelRegistry::new(config).unwrap();
         registry.register_engine(1, engine).unwrap();
-        let laps = 40;
+        let laps = 300;
         let stream: Vec<Vec<f64>> = (0..laps).flat_map(|_| samples.clone()).collect();
         let expected: Vec<InferenceStep> = (0..laps).flat_map(|_| reference.clone()).collect();
-        for _ in 0..3 {
+        let evictions = 2 * FAULT_IN_ATTEMPTS;
+        for _ in 0..2 {
             let start = std::sync::Barrier::new(2);
             let done = std::sync::atomic::AtomicBool::new(false);
-            let answers = std::thread::scope(|scope| {
-                scope.spawn(|| {
+            let (answers, landed) = std::thread::scope(|scope| {
+                let evictor = scope.spawn(|| {
                     start.wait();
-                    for _ in 0..FAULT_IN_ATTEMPTS - 1 {
-                        // Evict only once the stream has faulted the model
-                        // back in, so every eviction lands mid-stream.
-                        while registry.residence_of(1).is_none() {
+                    let mut landed = 0;
+                    while landed < evictions {
+                        // Wait for the fault-in, then for the stream to
+                        // admit `progress` samples past it.
+                        let mut faulted_in = None;
+                        loop {
                             if done.load(std::sync::atomic::Ordering::SeqCst) {
-                                return;
+                                return landed;
+                            }
+                            match (faulted_in, stamp_of(&registry, 1)) {
+                                (None, Some(stamp)) => faulted_in = Some(stamp),
+                                (Some(base), Some(stamp)) if stamp >= base + progress => break,
+                                (Some(_), None) => faulted_in = None,
+                                _ => {}
                             }
                             std::thread::yield_now();
                         }
                         registry.evict(1).unwrap();
+                        landed += 1;
                     }
+                    landed
                 });
                 start.wait();
                 let answers = registry.serve_many(1, &stream);
                 done.store(true, std::sync::atomic::Ordering::SeqCst);
-                answers
+                (answers, evictor.join().unwrap())
             });
             assert_bit_identical(&answers, &expected);
+            assert!(
+                landed > FAULT_IN_ATTEMPTS,
+                "only {landed} evictions landed before the stream ended"
+            );
         }
         let stats = registry.shutdown();
         assert_eq!(stats.failed_requests, 0);
+    }
+
+    /// A streaming tenant refreshes its LRU stamp as it goes, so an
+    /// install that lands mid-stream evicts the tenant served once before
+    /// it, not the one still streaming; the stream stays bit-identical.
+    #[test]
+    fn serve_many_keeps_a_streaming_tenant_warm() {
+        let (engine_a, samples_a, reference_a) = tenant(960);
+        let (engine_b, samples_b, reference_b) = tenant(961);
+        let (engine_c, _, _) = tenant(962);
+        let tiles = engine_a.tiled_program().plan().tile_count();
+        assert_eq!(engine_b.tiled_program().plan().tile_count(), tiles);
+        assert_eq!(engine_c.tiled_program().plan().tile_count(), tiles);
+        let registry = ModelRegistry::new(RegistryConfig::new(1, 2 * tiles)).unwrap();
+        registry.register_engine(1, engine_a).unwrap();
+        registry.register_engine(2, engine_b).unwrap();
+        let laps = 1000;
+        let stream: Vec<Vec<f64>> = (0..laps).flat_map(|_| samples_a.clone()).collect();
+        let expected: Vec<InferenceStep> = (0..laps).flat_map(|_| reference_a.clone()).collect();
+        let registered = stamp_of(&registry, 1).unwrap();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let (answers, evicted) = std::thread::scope(|scope| {
+            let installer = scope.spawn(|| {
+                // Waits until the stream stamps model 1 after `stamp`,
+                // failing if the stream ends first.
+                let wait_past = |stamp: u64| {
+                    while stamp_of(&registry, 1).unwrap() <= stamp {
+                        assert!(
+                            !done.load(std::sync::atomic::Ordering::SeqCst),
+                            "the stream never refreshed its stamp mid-stream"
+                        );
+                        std::thread::yield_now();
+                    }
+                };
+                wait_past(registered);
+                let served = registry.serve(2, &samples_b[0]).unwrap();
+                assert_eq!(served.prediction, reference_b[0].prediction);
+                wait_past(stamp_of(&registry, 2).unwrap());
+                let evicted = registry.register_engine(3, engine_c).unwrap().evicted;
+                // The install landed mid-stream: the stream stamps again.
+                wait_past(stamp_of(&registry, 3).unwrap());
+                evicted
+            });
+            let answers = registry.serve_many(1, &stream);
+            done.store(true, std::sync::atomic::Ordering::SeqCst);
+            (answers, installer.join().unwrap())
+        });
+        assert_eq!(evicted, vec![2]);
+        assert_bit_identical(&answers, &expected);
+        assert_eq!(registry.residence_of(1), Some(0));
+        let stats = registry.shutdown();
+        assert_eq!(stats.failed_requests, 0);
+        assert_eq!(stats.unrouted, 0);
+    }
+
+    /// A fault-in that cannot succeed answers every sample of the stream
+    /// with its typed error.
+    #[test]
+    fn serve_many_of_an_unknown_model_is_typed() {
+        let (engine, samples, _) = tenant(963);
+        let tiles = engine.tiled_program().plan().tile_count();
+        let registry = ModelRegistry::new(RegistryConfig::new(1, tiles)).unwrap();
+        registry.register_engine(1, engine).unwrap();
+        let answers = registry.serve_many(42, &samples);
+        assert_eq!(answers.len(), samples.len());
+        assert!(answers
+            .iter()
+            .all(|answer| matches!(answer, Err(RegistryError::UnknownModel { model: 42 }))));
     }
 
     /// Satellite: a model snapshot round-trips through the JSON serde shim
