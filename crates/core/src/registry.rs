@@ -141,7 +141,10 @@ pub struct RegistryConfig {
     /// Tile budget of one bank; a tenant's tiled program must fit within
     /// it, and residents beyond it are evicted least-recently-served first.
     pub tiles_per_bank: usize,
-    /// Serving configuration of the underlying routed pool.
+    /// Serving configuration of the underlying routed pool. Its
+    /// `recalibration` and `scrub` must stay unset: [`ModelRegistry::new`]
+    /// rejects them with the typed invalid-config error of
+    /// [`ServingPool::new_routed`].
     pub serving: ServingConfig,
 }
 
@@ -827,6 +830,31 @@ mod tests {
         assert!(RegistryError::Serving(ServingError::ShutDown)
             .source()
             .is_some());
+    }
+
+    /// A registry's routed banks run no maintenance schedulers, so serving
+    /// knobs that ask for them are a typed error rather than ignored.
+    #[test]
+    fn serving_recalibration_and_scrub_are_rejected() {
+        let configs = [
+            (
+                "recalibration",
+                ServingConfig::default()
+                    .with_recalibration(crate::recalibration::RecalibrationPolicy::new(100, 1e-3)),
+            ),
+            (
+                "scrub",
+                ServingConfig::default().with_scrub(crate::health::ScrubPolicy::new(100, 1e-3)),
+            ),
+        ];
+        for (field, serving) in configs {
+            match ModelRegistry::new(RegistryConfig::new(1, 4).with_serving(serving)).err() {
+                Some(RegistryError::Serving(ServingError::InvalidConfig { name, .. })) => {
+                    assert_eq!(name, field);
+                }
+                other => panic!("expected InvalidConfig for {field}, got {other:?}"),
+            }
+        }
     }
 
     /// Tentpole acceptance: three tenants registered onto a two-bank fleet

@@ -1,31 +1,51 @@
 //! Concurrent batch-serving engine pool.
 //!
 //! The engine answers one query at a time; a serving workload is many
-//! independent clients querying the *same* compiled model. This module
-//! turns N engine replicas (any [`InferenceBackend`], all programmed from
-//! one compiled/tiled program) into a [`ServingPool`]:
+//! independent clients querying compiled models. This module turns engines
+//! (any [`InferenceBackend`]) into a [`ServingPool`] of workers, each
+//! hosting a **bank** of model slots and running the one serving loop:
 //!
 //! ```text
-//!  clients ──submit()──▶ ring 0 (lock-free) ──▶ worker 0 ─ engine replica 0
-//!     │      round-robin  ring 1 (lock-free) ──▶ worker 1 ─ engine replica 1
-//!     │      + overflow      ⋮        ▲  steal      ⋮            ⋮
-//!     │      to any ring  ring N-1 ───┴──────▶ worker N-1 ─ replica N-1
+//!  clients ──submit()──▶ ring 0 (lock-free) ──▶ worker 0 ─ bank 0: slot, …
+//!     │      placement   ring 1 (lock-free) ──▶ worker 1 ─ bank 1
+//!     │                     ⋮        ▲ steal        ⋮          ⋮
+//!     │                  ring N-1 ───┴──────▶ worker N-1 ─ bank N-1
 //!     ◀──Ticket::wait()── per-request publish cell ◀─ batched completion
 //! ```
 //!
-//! Submission is sharded: each worker owns a bounded lock-free ring buffer
-//! (sequence-numbered slots, atomic head/tail), and a submitter places each
-//! request round-robin, overflowing into any ring with space before
-//! reporting [`ServingError::QueueFull`]. Workers drain their own ring
-//! first and **steal** from the others, so a slow replica can never strand
-//! queued requests. Each worker pops a **batch** of queued requests (up to
-//! [`ServingConfig::max_batch`], waiting at most
+//! Each worker owns a bounded lock-free ring buffer (sequence-numbered
+//! slots, atomic head/tail) and loops: pop a **batch** of queued requests
+//! (up to [`ServingConfig::max_batch`], waiting at most
 //! [`ServingConfig::max_wait_ticks`] queue polls for stragglers — ticks,
-//! not wall-clock, so tests are deterministic), runs it through the
-//! backend's grouped-read path ([`InferenceBackend::infer_batch_into`]) with
-//! a per-worker reused [`EvalScratch`](crate::engine::EvalScratch), and
-//! answers every request with its prediction plus the per-batch amortized
-//! delay/energy telemetry.
+//! not wall-clock, so tests are deterministic), serve it one model group at
+//! a time — each group in submission order — through the backend's
+//! grouped-read path ([`InferenceBackend::infer_batch_into`]) on the slot
+//! hosting that model, with the slot's reused
+//! [`EvalScratch`](crate::engine::EvalScratch), and answer every request
+//! with its prediction plus the per-batch amortized delay/energy telemetry.
+//! Between batches it ages every slot, runs the drift and fault checks that
+//! fall due and services posted hot swaps, so maintenance never stalls a
+//! request.
+//!
+//! ## One routing policy
+//!
+//! Whether the pool is *routed* is the only switch in the loop:
+//!
+//! * A **replica pool** ([`ServingPool::new`]) gives each worker a one-slot
+//!   bank, all serving the same model. A submitter places each request
+//!   round-robin, overflowing into any ring with space before reporting
+//!   [`ServingError::QueueFull`]; workers drain their own ring first and
+//!   **steal** from the others, so a slow replica can never strand queued
+//!   requests; idle workers share one parking lot; and a request a replica
+//!   failed is retried on a surviving one. A replica that its scrub
+//!   quarantines leaves the rotation, and once every replica is
+//!   quarantined the quarantined workers re-enter the same loop on the
+//!   exact software twin of their model.
+//! * A **routed pool** ([`ServingPool::new_routed`]) hosts each tenant
+//!   model on exactly one bank. A request goes to the ring of the bank
+//!   hosting its model ([`ServingPool::submit_routed`]); a worker pops only
+//!   its own ring and parks on its own lot, so a backlog or a hot swap on
+//!   one bank never stalls another; and there is no failover.
 //!
 //! Completion is batched and wake-free on the fast path: each request's
 //! answer is published into its [`Ticket`]'s cell with a single
@@ -46,8 +66,8 @@
 //! process-wide set of slots, one fewer than the host's hardware threads,
 //! so spinners never take the last core from a runnable thread and a
 //! 1-vCPU host parks at once. The park itself is unchanged: the spin only
-//! defers the register-then-recheck protocol. A routed worker parks on its
-//! own condvar, so a push wakes only the bank it is for; close, maintenance
+//! defers the register-then-recheck protocol. A push wakes one worker of
+//! its lot — on a routed pool, only the bank it is for; close, maintenance
 //! and swap doorbells and health transitions wake every worker. Each
 //! worker counts its parks and its spin hits ([`WorkerReport::idle_parks`],
 //! [`WorkerReport::idle_spin_hits`]).
@@ -122,6 +142,8 @@ pub struct ServingConfig {
     /// between batches — never while a batch is in flight, so requests are
     /// answered through recalibration without a single drop or stall.
     /// [`ServingPool::request_recalibration`] forces a check out of band.
+    /// Replica pools only: [`ServingPool::new_routed`] rejects it with
+    /// [`ServingError::InvalidConfig`].
     #[serde(default)]
     pub recalibration: Option<RecalibrationPolicy>,
     /// Optional online fault scrubbing: each worker runs a
@@ -131,7 +153,10 @@ pub struct ServingConfig {
     /// work (its queued requests are stolen by surviving workers) and, when
     /// every replica is quarantined, the pool degrades gracefully to exact
     /// software inference. [`ServingPool::request_scrub`] forces a check out
-    /// of band.
+    /// of band. Replica pools only: a routed bank holds the only copy of its
+    /// tenants, so there is no replica to fail over to, and
+    /// [`ServingPool::new_routed`] rejects it with
+    /// [`ServingError::InvalidConfig`].
     #[serde(default)]
     pub scrub: Option<ScrubPolicy>,
 }
@@ -699,13 +724,6 @@ impl Job {
         }
     }
 
-    /// A request routed to a specific tenant model of a routed pool.
-    fn routed(sample: Vec<f64>, ticket: Arc<TicketCell>, model: u64) -> Self {
-        let mut job = Self::new(sample, ticket);
-        job.model = Some(model);
-        job
-    }
-
     fn complete(mut self, result: ServeResult) {
         if let Some(cell) = self.ticket.take() {
             cell.complete(result);
@@ -921,9 +939,12 @@ struct PoolShared {
     /// so a submitter wake can never land on a worker that must not serve.
     quarantine_lock: Mutex<()>,
     quarantine_cv: Condvar,
-    /// Routed mode: each worker hosts its own set of tenant models, jobs are
-    /// pinned to the worker hosting their model, workers never steal from
-    /// each other and each parks on its own [`IdleLot`].
+    /// The pool's one routing policy. Routed: each worker hosts its own set
+    /// of tenant models, jobs are pinned to the worker hosting their model,
+    /// workers never steal from each other, each parks on its own
+    /// [`IdleLot`] and a failed request has no replica to fail over to.
+    /// Otherwise every worker serves the same model: round-robin
+    /// placement, stealing, one shared lot and failover.
     routed: bool,
     /// Per-ring admitted-but-not-popped counts. Only load-bearing in routed
     /// mode, where a worker's park/wake condition is *its own* ring rather
@@ -932,7 +953,7 @@ struct PoolShared {
     ring_queued: Vec<AtomicUsize>,
     /// model id → hosting worker of a routed pool.
     routes: Mutex<HashMap<u64, usize>>,
-    /// One hot-swap request mailbox per routed worker.
+    /// One hot-swap request mailbox per worker.
     mailboxes: Vec<Mailbox>,
 }
 
@@ -945,21 +966,11 @@ struct IdleLot {
     cv: Condvar,
 }
 
-/// Type-erased swap-request mailbox of one routed worker. Entries are boxed
+/// Type-erased swap-request mailbox of one worker. Entries are boxed
 /// `SwapRequest<B>` values; the generic worker downcasts on receipt (a
 /// mismatched box is dropped, which answers its ticket with the shutdown
 /// error through the request's drop guard).
-#[derive(Default)]
-struct Mailbox(Mutex<VecDeque<Box<dyn Any + Send>>>);
-
-impl fmt::Debug for Mailbox {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let pending = self.0.lock().unwrap_or_else(PoisonError::into_inner).len();
-        f.debug_struct("Mailbox")
-            .field("pending", &pending)
-            .finish()
-    }
-}
+type Mailbox = Mutex<VecDeque<Box<dyn Any + Send>>>;
 
 impl PoolShared {
     fn new(workers: usize, capacity: usize, routed: bool) -> Self {
@@ -993,12 +1004,13 @@ impl PoolShared {
         }
     }
 
-    /// Maps `model` to its hosting worker (routed pools).
-    fn set_route(&self, model: u64, worker: usize) {
+    /// Maps `model` to its hosting worker (routed pools); returns the worker
+    /// that hosted it before, if any.
+    fn set_route(&self, model: u64, worker: usize) -> Option<usize> {
         self.routes
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert(model, worker);
+            .insert(model, worker)
     }
 
     /// Drops `model`'s route; returns the worker that hosted it, if any.
@@ -1077,171 +1089,106 @@ impl PoolShared {
         self.quarantine_cv.notify_all();
     }
 
-    /// Non-blocking admission + placement. On failure the job is handed
-    /// back untouched alongside the typed error.
+    /// Non-blocking admission + placement. `target` pins the job to one
+    /// worker's ring — a routed request, whose model lives there and which
+    /// nobody steals, so a full ring means `QueueFull` rather than a reason
+    /// to overflow; `None` places it round-robin. On failure the job is
+    /// handed back untouched alongside the typed error.
     // The large Err is the point: rejected jobs come back by value so the
     // backpressure path never allocates.
     #[allow(clippy::result_large_err)]
-    fn try_push(&self, job: Job) -> Result<(), (Job, ServingError)> {
+    fn try_push(&self, target: Option<usize>, job: Job) -> Result<(), (Job, ServingError)> {
         self.pushing.fetch_add(1, Ordering::SeqCst);
-        let result = self.try_push_inner(job);
+        let result = self.try_push_inner(target, job);
         self.pushing.fetch_sub(1, Ordering::SeqCst);
         result
     }
 
     #[allow(clippy::result_large_err)]
-    fn try_push_inner(&self, job: Job) -> Result<(), (Job, ServingError)> {
+    fn try_push_inner(&self, target: Option<usize>, job: Job) -> Result<(), (Job, ServingError)> {
         if self.closed.load(Ordering::SeqCst) {
             return Err((job, ServingError::ShutDown));
         }
+        let queue_full = ServingError::QueueFull {
+            capacity: self.capacity,
+        };
         // Admission: the global count enforces `queue_depth` exactly, so
         // ring capacities (rounded up to powers of two) never leak extra
         // slots past the configured backpressure limit.
         if self.queued.fetch_add(1, Ordering::SeqCst) >= self.capacity {
             self.queued.fetch_sub(1, Ordering::SeqCst);
-            return Err((
-                job,
-                ServingError::QueueFull {
-                    capacity: self.capacity,
-                },
-            ));
+            return Err((job, queue_full));
         }
-        // Placement: round-robin over the rings, overflowing into any ring
-        // with space. Admission guarantees a free slot exists (total ring
-        // capacity ≥ `queue_depth` ≥ admitted jobs), so the scan can only
-        // miss transiently while a concurrent push/pop is mid-flight.
-        // Quarantined replicas' rings are skipped while any replica still
-        // serves; once none does, every ring is fair game again (the
-        // quarantined workers serve through the software fallback).
-        let start = self.cursor.fetch_add(1, Ordering::Relaxed);
+        let mut job = job;
+        let Some(worker) = target else {
+            // Placement: round-robin over the rings, overflowing into any
+            // ring with space. Admission guarantees a free slot exists (total
+            // ring capacity ≥ `queue_depth` ≥ admitted jobs), so the scan can
+            // only miss transiently while a concurrent push/pop is
+            // mid-flight. Quarantined replicas' rings are skipped while any
+            // replica still serves; once none does, every ring is fair game
+            // again (the quarantined workers serve through the software
+            // fallback).
+            let start = self.cursor.fetch_add(1, Ordering::Relaxed);
+            loop {
+                if self.closed.load(Ordering::SeqCst) {
+                    self.queued.fetch_sub(1, Ordering::SeqCst);
+                    return Err((job, ServingError::ShutDown));
+                }
+                let skip_quarantined = self.serving_workers.load(Ordering::SeqCst) > 0;
+                let skip = |index| skip_quarantined && !self.health_of(index).is_serving();
+                match self.place(start, skip, job) {
+                    Ok(()) => return Ok(()),
+                    Err(returned) => job = returned,
+                }
+                std::hint::spin_loop();
+            }
+        };
+        self.push_onto(worker, job).map_err(|job| {
+            self.queued.fetch_sub(1, Ordering::SeqCst);
+            (job, queue_full)
+        })
+    }
+
+    /// Pushes an admitted job onto the first ring with space, scanning
+    /// round-robin from `start`: first the rings `skip` lets through, then —
+    /// when those are all full — any ring (a skipped ring still drains
+    /// through stealing, which beats spinning until a preferred one frees a
+    /// slot). Hands the job back when every ring is full.
+    fn place(&self, start: usize, skip: impl Fn(usize) -> bool, job: Job) -> Result<(), Job> {
         let rings = self.rings.len();
         let mut job = job;
-        let placed = 'place: loop {
-            if self.closed.load(Ordering::SeqCst) {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                return Err((job, ServingError::ShutDown));
-            }
-            let skip_quarantined = self.serving_workers.load(Ordering::SeqCst) > 0;
+        for pass in 0..2 {
             for offset in 0..rings {
                 let index = (start + offset) % rings;
-                if skip_quarantined && !self.health_of(index).is_serving() {
+                if pass == 0 && skip(index) {
                     continue;
                 }
-                match self.rings[index].push(job) {
-                    Ok(()) => {
-                        self.ring_queued[index].fetch_add(1, Ordering::SeqCst);
-                        break 'place index;
-                    }
+                match self.push_onto(index, job) {
+                    Ok(()) => return Ok(()),
                     Err(returned) => job = returned,
                 }
             }
-            if skip_quarantined {
-                // Every serving ring is full. Quarantined rings still drain
-                // through stealing, so overflow there beats spinning until a
-                // serving worker frees a slot.
-                for offset in 0..rings {
-                    let index = (start + offset) % rings;
-                    match self.rings[index].push(job) {
-                        Ok(()) => {
-                            self.ring_queued[index].fetch_add(1, Ordering::SeqCst);
-                            break 'place index;
-                        }
-                        Err(returned) => job = returned,
-                    }
-                }
-            }
-            std::hint::spin_loop();
-        };
+        }
+        Err(job)
+    }
+
+    /// Pushes an admitted job onto ring `index`, counts it there and wakes
+    /// a worker for it; hands the job back when the ring is full.
+    fn push_onto(&self, index: usize, job: Job) -> Result<(), Job> {
+        self.rings[index].push(job)?;
+        self.ring_queued[index].fetch_add(1, Ordering::SeqCst);
         fence(Ordering::SeqCst);
-        self.wake_worker(placed);
+        self.wake_worker(index);
         Ok(())
     }
 
-    /// Non-blocking routed admission: the job must land on `worker`'s ring
-    /// (its model lives there and nobody steals), so a full ring means
-    /// `QueueFull` rather than a reason to overflow onto another ring.
-    #[allow(clippy::result_large_err)]
-    fn try_push_to(&self, worker: usize, job: Job) -> Result<(), (Job, ServingError)> {
-        self.pushing.fetch_add(1, Ordering::SeqCst);
-        let result = self.try_push_to_inner(worker, job);
-        self.pushing.fetch_sub(1, Ordering::SeqCst);
-        result
-    }
-
-    #[allow(clippy::result_large_err)]
-    fn try_push_to_inner(&self, worker: usize, job: Job) -> Result<(), (Job, ServingError)> {
-        if self.closed.load(Ordering::SeqCst) {
-            return Err((job, ServingError::ShutDown));
-        }
-        if self.queued.fetch_add(1, Ordering::SeqCst) >= self.capacity {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            return Err((
-                job,
-                ServingError::QueueFull {
-                    capacity: self.capacity,
-                },
-            ));
-        }
-        match self.rings[worker].push(job) {
-            Ok(()) => {
-                self.ring_queued[worker].fetch_add(1, Ordering::SeqCst);
-                fence(Ordering::SeqCst);
-                self.wake_worker(worker);
-                Ok(())
-            }
-            Err(returned) => {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                Err((
-                    returned,
-                    ServingError::QueueFull {
-                        capacity: self.capacity,
-                    },
-                ))
-            }
-        }
-    }
-
-    /// Blocking routed admission: waits for space on `worker`'s ring.
-    fn push_to_blocking(&self, worker: usize, job: Job) -> Result<(), ServingError> {
+    /// Blocking admission: waits for a slot instead of rejecting (on the
+    /// `target` ring itself for a routed request).
+    fn push_blocking(&self, target: Option<usize>, job: Job) -> Result<(), ServingError> {
         let mut job = job;
         loop {
-            match self.try_push_to(worker, job) {
-                Ok(()) => return Ok(()),
-                Err((returned, ServingError::QueueFull { .. })) => {
-                    job = returned;
-                    let guard = self
-                        .space_lock
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner);
-                    self.blocked.fetch_add(1, Ordering::SeqCst);
-                    fence(Ordering::SeqCst);
-                    // Recheck after registering (same Dekker pattern as
-                    // `push_blocking`); the target ring being full blocks a
-                    // routed producer even when the global count has room.
-                    if !self.closed.load(Ordering::SeqCst)
-                        && (self.queued.load(Ordering::SeqCst) >= self.capacity
-                            || self.rings[worker].is_full())
-                    {
-                        drop(
-                            self.space_cv
-                                .wait(guard)
-                                .unwrap_or_else(PoisonError::into_inner),
-                        );
-                    } else {
-                        drop(guard);
-                    }
-                    self.blocked.fetch_sub(1, Ordering::SeqCst);
-                }
-                Err((_, err)) => return Err(err),
-            }
-        }
-    }
-
-    /// Blocking admission: waits for a slot instead of rejecting.
-    fn push_blocking(&self, job: Job) -> Result<(), ServingError> {
-        let mut job = job;
-        loop {
-            match self.try_push(job) {
+            match self.try_push(target, job) {
                 Ok(()) => return Ok(()),
                 Err((returned, ServingError::QueueFull { .. })) => {
                     job = returned;
@@ -1253,9 +1200,11 @@ impl PoolShared {
                     fence(Ordering::SeqCst);
                     // Recheck after registering: a worker that freed space
                     // (or a close) before seeing `blocked > 0` cannot be
-                    // missed.
+                    // missed. A full target ring blocks a routed producer
+                    // even when the global count has room.
                     if !self.closed.load(Ordering::SeqCst)
-                        && self.queued.load(Ordering::SeqCst) >= self.capacity
+                        && (self.queued.load(Ordering::SeqCst) >= self.capacity
+                            || target.is_some_and(|worker| self.rings[worker].is_full()))
                     {
                         drop(
                             self.space_cv
@@ -1309,24 +1258,19 @@ impl PoolShared {
         got
     }
 
-    /// Work visible to `worker` while deciding whether to park: its own
-    /// ring's count in routed mode (it cannot steal, so a neighbour tenant's
-    /// backlog must not keep it awake), the global count otherwise.
-    fn pending_work(&self, worker: usize) -> usize {
-        if self.routed {
-            self.ring_queued[worker].load(Ordering::SeqCst)
-        } else {
-            self.queued.load(Ordering::SeqCst)
-        }
-    }
-
     /// Whether an idle `worker` has something to do: a close, queued work
     /// it can pop, or a recalibration/swap generation past
-    /// `recalibration_seen`. Both the idle spin and the park recheck test
-    /// exactly this.
+    /// `recalibration_seen`. A routed worker counts only its own ring (it
+    /// cannot steal, so a neighbour tenant's backlog must not keep it
+    /// awake). Both the idle spin and the park recheck test exactly this.
     fn idle_ready(&self, worker: usize, recalibration_seen: u64) -> bool {
+        let pending = if self.routed {
+            &self.ring_queued[worker]
+        } else {
+            &self.queued
+        };
         self.closed.load(Ordering::SeqCst)
-            || self.pending_work(worker) > 0
+            || pending.load(Ordering::SeqCst) > 0
             || self.recalibration.load(Ordering::SeqCst) != recalibration_seen
     }
 
@@ -1457,13 +1401,11 @@ impl PoolShared {
     /// Fills `batch` with the next dispatch: blocks for the first request —
     /// polling for up to [`SPIN_BUDGET`] when idle, then parking — and
     /// spends up to `max_wait_ticks` yield-polls topping the batch up to
-    /// `max_batch`. Returns
-    /// [`FillOutcome::Closed`] when the pool is closed and every ring has
-    /// drained (the worker should exit), and [`FillOutcome::Recalibrate`]
-    /// (with an empty batch) when a recalibration request past
-    /// `recalibration_seen` arrives while the worker is otherwise idle —
-    /// requests always win over recalibration, so an idle check can never
-    /// delay queued work.
+    /// `max_batch`. Returns `false` when the pool is closed and every ring
+    /// has drained (the worker should exit). A batch left empty means a
+    /// maintenance/swap doorbell past `recalibration_seen` arrived while the
+    /// worker was otherwise idle — requests always win over maintenance, so
+    /// an idle check can never delay queued work.
     fn fill_batch(
         &self,
         worker: usize,
@@ -1472,7 +1414,7 @@ impl PoolShared {
         max_wait_ticks: u32,
         recalibration_seen: u64,
         report: &mut WorkerReport,
-    ) -> FillOutcome {
+    ) -> bool {
         loop {
             if self.pop_any(worker, batch, max_batch) > 0 {
                 break;
@@ -1481,12 +1423,12 @@ impl PoolShared {
                 // Final sweep: `close` waited out in-flight pushes, so an
                 // empty sweep after seeing `closed` means empty for good.
                 if self.pop_any(worker, batch, max_batch) == 0 {
-                    return FillOutcome::Closed;
+                    return false;
                 }
                 break;
             }
             if self.recalibration.load(Ordering::SeqCst) != recalibration_seen {
-                return FillOutcome::Recalibrate;
+                return true;
             }
             if spin_until(SPIN_BUDGET, || self.idle_ready(worker, recalibration_seen)) {
                 report.idle_spin_hits += 1;
@@ -1503,19 +1445,8 @@ impl PoolShared {
             std::thread::yield_now();
             self.pop_any(worker, batch, max_batch);
         }
-        FillOutcome::Batch
+        true
     }
-}
-
-/// What a worker's [`PoolShared::fill_batch`] sweep produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FillOutcome {
-    /// At least one job was popped into the batch.
-    Batch,
-    /// The pool is closed and drained; the worker should exit.
-    Closed,
-    /// No work is queued but a recalibration request is pending.
-    Recalibrate,
 }
 
 // ---------------------------------------------------------------------------
@@ -1611,7 +1542,7 @@ pub struct WorkerReport {
 }
 
 /// Aggregated statistics of a completed pool run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct PoolStats {
     /// Requests answered across all workers.
     pub requests: u64,
@@ -1698,44 +1629,9 @@ pub struct PoolStats {
 impl PoolStats {
     fn from_workers(workers: Vec<WorkerReport>) -> Self {
         let mut stats = Self {
-            requests: 0,
-            batches: 0,
-            largest_batch: 0,
-            mean_batch_size: 0.0,
-            shutdown_rejected: 0,
-            failed_requests: 0,
-            crashed_workers: 0,
-            batched_delay_s: 0.0,
-            batched_energy_j: 0.0,
-            sequential_delay_s: 0.0,
-            sequential_energy_j: 0.0,
-            queue_wait: LatencyHistogram::new(),
-            end_to_end: LatencyHistogram::new(),
-            recalibrations: 0,
-            recalibration_pulses: 0,
-            recalibration_energy_j: 0.0,
-            recalibration_failures: 0,
-            scrubs: 0,
-            faults_detected: 0,
-            faults_repaired: 0,
-            rows_remapped: 0,
-            repair_pulses: 0,
-            repair_energy_j: 0.0,
-            scrub_failures: 0,
-            health_transitions: 0,
-            failovers: 0,
-            fallback_served: 0,
-            swaps: 0,
-            swap_pulses: 0,
-            swap_energy_j: 0.0,
-            unrouted: 0,
-            idle_parks: 0,
-            idle_spin_hits: 0,
-            quarantined_workers: 0,
             workers,
+            ..Self::default()
         };
-        let mut queue_wait = LatencyHistogram::new();
-        let mut end_to_end = LatencyHistogram::new();
         for report in &stats.workers {
             stats.requests += report.requests;
             stats.batches += report.batches;
@@ -1768,11 +1664,9 @@ impl PoolStats {
             stats.idle_parks += report.idle_parks;
             stats.idle_spin_hits += report.idle_spin_hits;
             stats.quarantined_workers += u64::from(report.quarantined);
-            queue_wait.merge(&report.queue_wait);
-            end_to_end.merge(&report.end_to_end);
+            stats.queue_wait.merge(&report.queue_wait);
+            stats.end_to_end.merge(&report.end_to_end);
         }
-        stats.queue_wait = queue_wait;
-        stats.end_to_end = end_to_end;
         if stats.batches > 0 {
             stats.mean_batch_size = stats.requests as f64 / stats.batches as f64;
         }
@@ -1803,8 +1697,8 @@ impl PoolStats {
 // The pool
 // ---------------------------------------------------------------------------
 
-/// One worker thread's body, type-erased so replica and routed pools share
-/// the spawn path.
+/// One worker thread's body, type-erased so the injectable spawner need not
+/// be generic over the backend.
 type WorkerBody = Box<dyn FnOnce() -> WorkerReport + Send + 'static>;
 
 /// Injectable thread spawner (name + body → handle or the OS error), so the
@@ -1814,35 +1708,6 @@ type SpawnFn<'a> =
 
 fn default_spawner(name: String, body: WorkerBody) -> std::io::Result<JoinHandle<WorkerReport>> {
     std::thread::Builder::new().name(name).spawn(body)
-}
-
-/// Spawns every worker body, converting an OS spawn failure into the typed
-/// [`ServingError::WorkerSpawn`] instead of panicking the constructor: the
-/// pool closes, the already-spawned workers drain and join, and the
-/// unspawned bodies are dropped — their captured guards keep the alive
-/// count honest so the close-and-reject handoff still runs exactly once.
-fn spawn_workers(
-    shared: &Arc<PoolShared>,
-    bodies: Vec<(String, WorkerBody)>,
-    spawner: SpawnFn<'_>,
-) -> Result<Vec<JoinHandle<WorkerReport>>, ServingError> {
-    let mut workers = Vec::with_capacity(bodies.len());
-    let mut bodies = bodies.into_iter();
-    while let Some((name, body)) = bodies.next() {
-        match spawner(name, body) {
-            Ok(handle) => workers.push(handle),
-            Err(err) => {
-                let reason = err.to_string();
-                shared.close();
-                drop(bodies);
-                for worker in workers {
-                    let _ = worker.join();
-                }
-                return Err(ServingError::WorkerSpawn { reason });
-            }
-        }
-    }
-    Ok(workers)
 }
 
 /// A pool of engine replicas serving batched inference requests.
@@ -1882,36 +1747,11 @@ impl ServingPool {
         config: ServingConfig,
         spawner: SpawnFn<'_>,
     ) -> Result<Self, ServingError> {
-        config.validate()?;
-        if engines.is_empty() {
-            return Err(ServingError::NoReplicas);
-        }
-        let shared = Arc::new(PoolShared::new(engines.len(), config.queue_depth, false));
-        let alive = Arc::new(AtomicUsize::new(engines.len()));
-        let bodies = engines
+        let banks = engines
             .into_iter()
-            .enumerate()
-            .map(|(worker, engine)| {
-                let shared = Arc::clone(&shared);
-                let guard = WorkerGuard {
-                    shared: Arc::clone(&shared),
-                    alive: Arc::clone(&alive),
-                };
-                let body: WorkerBody = Box::new(move || {
-                    // Runs on every exit path, including panic unwind:
-                    // the last worker out closes and rejects the rings.
-                    let _guard = guard;
-                    worker_loop(worker, engine, &shared, config)
-                });
-                (format!("febim-serve-{worker}"), body)
-            })
+            .map(|engine| vec![(None, engine)])
             .collect();
-        let workers = spawn_workers(&shared, bodies, spawner)?;
-        Ok(Self {
-            shared,
-            workers,
-            config,
-        })
+        Self::spawn(banks, false, config, spawner)
     }
 
     /// Spawns one *routed* worker per bank of tenant models. Each bank's
@@ -1923,32 +1763,64 @@ impl ServingPool {
     /// # Errors
     ///
     /// Returns [`ServingError::NoReplicas`] for an empty bank set,
-    /// [`ServingError::InvalidConfig`] when a model id appears on two
-    /// banks, and the same validation/spawn errors as [`ServingPool::new`].
+    /// [`ServingError::InvalidConfig`] when a model id appears on two banks
+    /// or when `config` sets [`ServingConfig::recalibration`] or
+    /// [`ServingConfig::scrub`], and the same validation/spawn errors as
+    /// [`ServingPool::new`].
     pub fn new_routed<B: InferenceBackend + Send + 'static>(
         banks: Vec<Vec<(u64, FebimEngine<B>)>>,
         config: ServingConfig,
+    ) -> Result<Self, ServingError> {
+        for (name, set) in [
+            ("recalibration", config.recalibration.is_some()),
+            ("scrub", config.scrub.is_some()),
+        ] {
+            if set {
+                return Err(ServingError::InvalidConfig {
+                    name,
+                    reason: "a routed bank holds the only copy of its tenants, so there is \
+                             no replica to fail over to; set it on replica pools only"
+                        .to_string(),
+                });
+            }
+        }
+        let banks = banks
+            .into_iter()
+            .map(|bank| {
+                bank.into_iter()
+                    .map(|(model, engine)| (Some(model), engine))
+                    .collect()
+            })
+            .collect();
+        Self::spawn(banks, true, config, &mut default_spawner)
+    }
+
+    /// Spawns one worker per bank: a one-slot bank with no model id per
+    /// replica of a replica pool, or a routed bank of tenant models (whose
+    /// routes are published before any request can be submitted).
+    fn spawn<B: InferenceBackend + Send + 'static>(
+        banks: Vec<Vec<(Option<u64>, FebimEngine<B>)>>,
+        routed: bool,
+        config: ServingConfig,
+        spawner: SpawnFn<'_>,
     ) -> Result<Self, ServingError> {
         config.validate()?;
         if banks.is_empty() {
             return Err(ServingError::NoReplicas);
         }
-        let shared = Arc::new(PoolShared::new(banks.len(), config.queue_depth, true));
-        {
-            let mut routes = shared.routes.lock().unwrap_or_else(PoisonError::into_inner);
-            for (worker, bank) in banks.iter().enumerate() {
-                for (model, _) in bank {
-                    if routes.insert(*model, worker).is_some() {
-                        return Err(ServingError::InvalidConfig {
-                            name: "banks",
-                            reason: format!("model id {model} registered on two banks"),
-                        });
-                    }
+        let shared = Arc::new(PoolShared::new(banks.len(), config.queue_depth, routed));
+        for (worker, bank) in banks.iter().enumerate() {
+            for model in bank.iter().filter_map(|(model, _)| *model) {
+                if shared.set_route(model, worker).is_some() {
+                    return Err(ServingError::InvalidConfig {
+                        name: "banks",
+                        reason: format!("model id {model} registered on two banks"),
+                    });
                 }
             }
         }
         let alive = Arc::new(AtomicUsize::new(banks.len()));
-        let bodies = banks
+        let mut bodies = banks
             .into_iter()
             .enumerate()
             .map(|(worker, bank)| {
@@ -1958,13 +1830,39 @@ impl ServingPool {
                     alive: Arc::clone(&alive),
                 };
                 let body: WorkerBody = Box::new(move || {
+                    // Runs on every exit path, including panic unwind:
+                    // the last worker out closes and rejects the rings.
                     let _guard = guard;
-                    routed_worker_loop(worker, bank, &shared, config)
+                    let report = WorkerReport {
+                        worker,
+                        ..WorkerReport::default()
+                    };
+                    worker_loop(worker, bank, &shared, config, report)
                 });
-                (format!("febim-route-{worker}"), body)
+                (format!("febim-serve-{worker}"), body)
             })
-            .collect();
-        let workers = spawn_workers(&shared, bodies, &mut default_spawner)?;
+            .collect::<Vec<_>>()
+            .into_iter();
+        let mut workers = Vec::with_capacity(bodies.len());
+        while let Some((name, body)) = bodies.next() {
+            match spawner(name, body) {
+                Ok(handle) => workers.push(handle),
+                Err(err) => {
+                    // A typed error, not a panic: the pool closes, the
+                    // already-spawned workers drain and join, and the
+                    // unspawned bodies are dropped — their captured guards
+                    // keep the alive count honest so the close-and-reject
+                    // handoff still runs exactly once.
+                    let reason = err.to_string();
+                    shared.close();
+                    drop(bodies);
+                    for worker in workers {
+                        let _ = worker.join();
+                    }
+                    return Err(ServingError::WorkerSpawn { reason });
+                }
+            }
+        }
         Ok(Self {
             shared,
             workers,
@@ -2042,16 +1940,7 @@ impl ServingPool {
     /// Returns [`ServingError::QueueFull`] when the pool is at capacity
     /// (backpressure — retry later or use [`ServingPool::submit_blocking`]).
     pub fn submit(&self, sample: Vec<f64>) -> Result<Ticket, ServingError> {
-        let cell = Arc::new(TicketCell::new());
-        match self.shared.try_push(Job::new(sample, Arc::clone(&cell))) {
-            Ok(()) => Ok(Ticket { cell }),
-            Err((job, err)) => {
-                // The job never entered a ring; disarm its drop guard so the
-                // unused cell is not "answered".
-                drop(job);
-                Err(err)
-            }
-        }
+        self.admit(None, sample, false)
     }
 
     /// Submits one request, waiting for a queue slot when the pool is at
@@ -2062,23 +1951,13 @@ impl ServingPool {
     /// Returns [`ServingError::ShutDown`] when the pool closes while the
     /// request waits for a slot.
     pub fn submit_blocking(&self, sample: Vec<f64>) -> Result<Ticket, ServingError> {
-        let cell = Arc::new(TicketCell::new());
-        self.shared
-            .push_blocking(Job::new(sample, Arc::clone(&cell)))?;
-        Ok(Ticket { cell })
+        self.admit(None, sample, true)
     }
 
     /// Convenience: submits every sample (blocking backpressure) and waits
     /// for all answers, returned in submission order.
     pub fn serve(&self, samples: &[Vec<f64>]) -> Vec<ServeResult> {
-        let tickets: Vec<Result<Ticket, ServingError>> = samples
-            .iter()
-            .map(|sample| self.submit_blocking(sample.clone()))
-            .collect();
-        tickets
-            .into_iter()
-            .map(|ticket| ticket.and_then(Ticket::wait))
-            .collect()
+        self.serve_all(None, samples)
     }
 
     /// Worker (bank) currently hosting `model`, if any. Always `None` on a
@@ -2096,23 +1975,7 @@ impl ServingPool {
     /// `model`, and [`ServingError::QueueFull`] when the hosting worker's
     /// ring is full — routed requests cannot overflow onto another bank.
     pub fn submit_routed(&self, model: u64, sample: Vec<f64>) -> Result<Ticket, ServingError> {
-        let worker = self
-            .shared
-            .route_of(model)
-            .ok_or(ServingError::ModelUnavailable { model })?;
-        let cell = Arc::new(TicketCell::new());
-        match self
-            .shared
-            .try_push_to(worker, Job::routed(sample, Arc::clone(&cell), model))
-        {
-            Ok(()) => Ok(Ticket { cell }),
-            Err((job, err)) => {
-                // The job never entered a ring; disarm its drop guard so the
-                // unused cell is not "answered".
-                drop(job);
-                Err(err)
-            }
-        }
+        self.admit(Some(model), sample, false)
     }
 
     /// Submits one routed request, waiting for a slot on the hosting
@@ -2128,22 +1991,52 @@ impl ServingPool {
         model: u64,
         sample: Vec<f64>,
     ) -> Result<Ticket, ServingError> {
-        let worker = self
-            .shared
-            .route_of(model)
-            .ok_or(ServingError::ModelUnavailable { model })?;
-        let cell = Arc::new(TicketCell::new());
-        self.shared
-            .push_to_blocking(worker, Job::routed(sample, Arc::clone(&cell), model))?;
-        Ok(Ticket { cell })
+        self.admit(Some(model), sample, true)
     }
 
     /// Convenience: submits every sample routed to `model` (blocking
     /// backpressure) and waits for all answers, in submission order.
     pub fn serve_model(&self, model: u64, samples: &[Vec<f64>]) -> Vec<ServeResult> {
+        self.serve_all(Some(model), samples)
+    }
+
+    /// Shared admission of every submit path: a request routed by `model`
+    /// goes to the ring of the worker hosting it, an unrouted one is placed
+    /// round-robin; `blocking` waits for space instead of answering
+    /// [`ServingError::QueueFull`].
+    fn admit(
+        &self,
+        model: Option<u64>,
+        sample: Vec<f64>,
+        blocking: bool,
+    ) -> Result<Ticket, ServingError> {
+        let target = model
+            .map(|model| {
+                self.shared
+                    .route_of(model)
+                    .ok_or(ServingError::ModelUnavailable { model })
+            })
+            .transpose()?;
+        let cell = Arc::new(TicketCell::new());
+        let mut job = Job::new(sample, Arc::clone(&cell));
+        job.model = model;
+        if blocking {
+            self.shared.push_blocking(target, job)?;
+        } else {
+            // A rejected job never entered a ring: dropping it answers only
+            // its own unused cell.
+            self.shared
+                .try_push(target, job)
+                .map_err(|(_job, err)| err)?;
+        }
+        Ok(Ticket { cell })
+    }
+
+    /// Shared body of [`ServingPool::serve`] and [`ServingPool::serve_model`].
+    fn serve_all(&self, model: Option<u64>, samples: &[Vec<f64>]) -> Vec<ServeResult> {
         let tickets: Vec<Result<Ticket, ServingError>> = samples
             .iter()
-            .map(|sample| self.submit_routed_blocking(model, sample.clone()))
+            .map(|sample| self.admit(model, sample.clone(), true))
             .collect();
         tickets
             .into_iter()
@@ -2181,7 +2074,6 @@ impl ServingPool {
             done: Some(Arc::clone(&done)),
         };
         self.shared.mailboxes[worker]
-            .0
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push_back(Box::new(request));
@@ -2332,29 +2224,16 @@ fn requeue(shared: &PoolShared, worker: usize, job: Job) -> Option<Job> {
         return Some(job);
     }
     shared.queued.fetch_add(1, Ordering::SeqCst);
-    let rings = shared.rings.len();
-    let mut job = job;
-    for pass in 0..2 {
-        for offset in 1..=rings {
-            let index = (worker + offset) % rings;
-            // First pass targets only surviving replicas; the second takes
-            // any ring with space (stealing still drains it).
-            if pass == 0 && (index == worker || !shared.health_of(index).is_serving()) {
-                continue;
-            }
-            match shared.rings[index].push(job) {
-                Ok(()) => {
-                    shared.ring_queued[index].fetch_add(1, Ordering::SeqCst);
-                    fence(Ordering::SeqCst);
-                    shared.wake_worker(index);
-                    return None;
-                }
-                Err(returned) => job = returned,
-            }
+    // Surviving replicas first; then any ring with space (stealing still
+    // drains it).
+    let skip = |index| index == worker || !shared.health_of(index).is_serving();
+    match shared.place(worker + 1, skip, job) {
+        Ok(()) => None,
+        Err(job) => {
+            shared.queued.fetch_sub(1, Ordering::SeqCst);
+            Some(job)
         }
     }
-    shared.queued.fetch_sub(1, Ordering::SeqCst);
-    Some(job)
 }
 
 /// Bounces batch jobs that already failed on this replica back to a
@@ -2381,27 +2260,96 @@ fn bounce_failed_over(worker: usize, shared: &PoolShared, batch: &mut Vec<Job>) 
     }
 }
 
-/// Runs one popped batch end to end: records queue waits, takes the samples
-/// out (the jobs keep their tickets armed, so a panic inside inference still
-/// answers every request via the job drop guard), runs the grouped-read
-/// path, and publishes every answer. On a grouped failure it falls back to
-/// per-sample inference so one bad request cannot poison its batch mates;
-/// with `failover` enabled, a per-sample inference error is retried on a
-/// surviving replica (bounded by [`FAILOVER_ATTEMPTS`]) before its typed
-/// error is answered. With `fallback` set, answered requests are counted as
-/// software-fallback serves.
-#[allow(clippy::too_many_arguments)]
+/// One model hosted by a worker: its engine, a dedicated scratch (scratch
+/// dimensions depend on the model's class/feature counts, so tenants cannot
+/// share one) and the maintenance schedulers of its physical state. A
+/// replica pool's worker hosts one slot with no model id; a routed worker
+/// hosts one slot per tenant model.
+struct TenantSlot<B: InferenceBackend> {
+    model: Option<u64>,
+    engine: FebimEngine<B>,
+    scratch: crate::engine::EvalScratch,
+    recalibration: Option<RecalibrationScheduler>,
+    scrub: Option<ScrubScheduler>,
+}
+
+impl<B: InferenceBackend> TenantSlot<B> {
+    fn new(model: Option<u64>, engine: FebimEngine<B>, config: &ServingConfig) -> Self {
+        // The scheduler policies were validated with the serving config, so
+        // a failed build here should be unreachable — but a worker thread
+        // must never panic over maintenance plumbing: it degrades to
+        // serving without the scheduler instead (requests still get
+        // answers).
+        Self {
+            model,
+            scratch: engine.make_scratch(),
+            engine,
+            recalibration: config
+                .recalibration
+                .and_then(|policy| RecalibrationScheduler::new(policy).ok()),
+            scrub: config
+                .scrub
+                .and_then(|policy| ScrubScheduler::new(policy).ok()),
+        }
+    }
+
+    /// Ages the slot's replica by `ticks` after a batch and runs whichever
+    /// drift or fault check falls due. Returns `true` when its scrub just
+    /// quarantined the worker.
+    fn age(
+        &mut self,
+        ticks: u64,
+        worker: usize,
+        shared: &PoolShared,
+        report: &mut WorkerReport,
+    ) -> bool {
+        if let Some(scheduler) = self.recalibration.as_mut() {
+            record_recalibration(scheduler.tick(&mut self.engine, ticks), report);
+        } else if ticks > 0 {
+            self.engine.advance_time(ticks);
+        }
+        let Some(scrubber) = self.scrub.as_mut() else {
+            return false;
+        };
+        // The recalibration scheduler (or the branch above) already aged
+        // the replica's clock; the scrub scheduler only counts down.
+        record_scrub(scrubber.note_ticks(&mut self.engine, ticks), report);
+        sync_health(worker, scrubber, shared, report)
+    }
+
+    /// Runs one out-of-band check of both maintenance schedulers —
+    /// recalibration and scrub requests share one generation counter, and
+    /// the epoch-skip fast path makes the unrequested check free. Returns
+    /// `true` when the scrub just quarantined the worker.
+    fn check(&mut self, worker: usize, shared: &PoolShared, report: &mut WorkerReport) -> bool {
+        if let Some(scheduler) = self.recalibration.as_mut() {
+            record_recalibration(scheduler.check(&mut self.engine), report);
+        }
+        let Some(scrubber) = self.scrub.as_mut() else {
+            return false;
+        };
+        record_scrub(scrubber.check(&mut self.engine), report);
+        sync_health(worker, scrubber, shared, report)
+    }
+}
+
+/// Runs one batch of jobs that share a model through `slot`, end to end:
+/// records queue waits, takes the samples out (the jobs keep their tickets
+/// armed, so a panic inside inference still answers every request via the
+/// job drop guard), runs the grouped-read path, and publishes every answer.
+/// On a grouped failure it falls back to per-sample inference so one bad
+/// request cannot poison its batch mates; on a replica pool a per-sample
+/// inference error is retried on a surviving replica (bounded by
+/// [`FAILOVER_ATTEMPTS`]) before its typed error is answered. A quarantined
+/// worker's answers are counted as software-fallback serves.
 fn dispatch_batch<B: InferenceBackend>(
     worker: usize,
-    engine: &mut FebimEngine<B>,
+    slot: &mut TenantSlot<B>,
     shared: &PoolShared,
-    scratch: &mut crate::engine::EvalScratch,
     steps: &mut Vec<InferenceStep>,
     batch: &mut Vec<Job>,
     samples: &mut Vec<Vec<f64>>,
     report: &mut WorkerReport,
-    failover: bool,
-    fallback: bool,
 ) {
     let dispatched = Instant::now();
     samples.clear();
@@ -2411,6 +2359,8 @@ fn dispatch_batch<B: InferenceBackend>(
             .record(nanos_between(job.submitted, dispatched));
         samples.push(std::mem::take(&mut job.sample));
     }
+    let engine = &slot.engine;
+    let scratch = &mut slot.scratch;
     match engine.infer_batch_into(samples, scratch, steps) {
         Ok(telemetry) => {
             report.requests += batch.len() as u64;
@@ -2420,7 +2370,7 @@ fn dispatch_batch<B: InferenceBackend>(
             report.batched_energy_j += telemetry.energy.total();
             report.sequential_delay_s += telemetry.sequential_delay;
             report.sequential_energy_j += telemetry.sequential_energy;
-            if fallback {
+            if report.quarantined {
                 report.fallback_served += batch.len() as u64;
             }
             // Batched completion: publish the whole batch back to back
@@ -2456,7 +2406,7 @@ fn dispatch_batch<B: InferenceBackend>(
                         report.batched_energy_j += step.energy.total();
                         report.sequential_delay_s += step.delay.total();
                         report.sequential_energy_j += step.energy.total();
-                        if fallback {
+                        if report.quarantined {
                             report.fallback_served += 1;
                         }
                         ServeOutcome {
@@ -2476,8 +2426,10 @@ fn dispatch_batch<B: InferenceBackend>(
                         }
                     })
                     .map_err(ServingError::Inference);
-                if answer.is_err()
-                    && failover
+                // Routed tenants live on exactly one bank: nowhere to fail
+                // over to.
+                let job = if answer.is_err()
+                    && !shared.routed
                     && job.attempts < FAILOVER_ATTEMPTS
                     && shared.other_replica_serving(worker)
                 {
@@ -2492,17 +2444,12 @@ fn dispatch_batch<B: InferenceBackend>(
                             report.failovers += 1;
                             continue;
                         }
-                        Some(returned) => {
-                            // No room elsewhere: answer the error after all.
-                            report.failed += 1;
-                            report
-                                .end_to_end
-                                .record(nanos_between(returned.submitted, Instant::now()));
-                            returned.complete(answer);
-                            continue;
-                        }
+                        // No room elsewhere: answer the error after all.
+                        Some(returned) => returned,
                     }
-                }
+                } else {
+                    job
+                };
                 if answer.is_err() {
                     report.failed += 1;
                 }
@@ -2517,43 +2464,46 @@ fn dispatch_batch<B: InferenceBackend>(
     }
 }
 
-/// One worker: fill a batch (own ring first, stealing from the others), run
-/// it through the grouped-read path with a reused scratch, publish every
-/// answer, repeat until the pool closes and the rings drain. Between
-/// batches the worker ages its replica by [`ServingConfig::ticks_per_batch`]
-/// and lets its [`RecalibrationScheduler`] check for drift and its
-/// [`ScrubScheduler`] check for faults, so the replica's physical state
-/// stays current — and its defects detected and repaired — without ever
-/// stalling a request. A replica whose scrub quarantines it leaves the
-/// serving rotation for good (see [`quarantined_worker`]).
-fn worker_loop<B: InferenceBackend>(
+/// The one serving loop of every worker — a replica (a one-slot bank), a
+/// routed bank of tenant models, or a quarantined replica serving through
+/// its software twin. It fills a batch (see [`PoolShared::fill_batch`]:
+/// own ring first, stealing from the others unless the pool is routed),
+/// serves it one model group at a time on the slot hosting that model with
+/// a reused scratch, publishes every answer, and repeats until the pool
+/// closes and the rings drain. Between batches — every ticket of the batch
+/// already answered, none held — it ages every slot by
+/// [`ServingConfig::ticks_per_batch`] and runs the drift and fault checks
+/// that fall due; when the maintenance generation moves it services the
+/// swap mailbox and runs a forced check of every slot. Queued requests
+/// still win: the next iteration pops them before the worker can idle. A
+/// replica whose scrub quarantines it leaves the serving rotation (see
+/// [`quarantine`]).
+fn worker_loop<B: InferenceBackend + 'static>(
     worker: usize,
-    mut engine: FebimEngine<B>,
+    tenants: Vec<(Option<u64>, FebimEngine<B>)>,
     shared: &PoolShared,
     config: ServingConfig,
+    mut report: WorkerReport,
 ) -> WorkerReport {
-    let mut report = WorkerReport {
-        worker,
-        ..WorkerReport::default()
-    };
-    let mut scratch = engine.make_scratch();
+    let mut bank: Vec<TenantSlot<B>> = tenants
+        .into_iter()
+        .map(|(model, engine)| TenantSlot::new(model, engine, &config))
+        .collect();
     let mut steps: Vec<InferenceStep> = Vec::with_capacity(config.max_batch);
     let mut batch: Vec<Job> = Vec::with_capacity(config.max_batch);
+    let mut group: Vec<Job> = Vec::with_capacity(config.max_batch);
     let mut samples: Vec<Vec<f64>> = Vec::with_capacity(config.max_batch);
-    // The scheduler policies were validated with the serving config, so a
-    // failed build here should be unreachable — but a worker thread must
-    // never panic over maintenance plumbing: it degrades to serving without
-    // the scheduler instead (requests still get answers).
-    let mut scheduler = config
-        .recalibration
-        .and_then(|policy| RecalibrationScheduler::new(policy).ok());
-    let mut scrubber = config
-        .scrub
-        .and_then(|policy| ScrubScheduler::new(policy).ok());
     let mut recalibration_seen = shared.recalibration.load(Ordering::SeqCst);
+    // Drain the mailbox once before serving: a swap posted during thread
+    // start-up may have bumped the generation before the load above, in
+    // which case no later doorbell distinguishes it from the initial value.
+    // The load-then-drain order re-establishes the invariant that
+    // `seen == G` implies every request posted before the bump to `G` has
+    // been serviced.
+    service_swaps(worker, &mut bank, shared, &config, &mut report);
     loop {
         batch.clear();
-        match shared.fill_batch(
+        if !shared.fill_batch(
             worker,
             &mut batch,
             config.max_batch,
@@ -2561,26 +2511,7 @@ fn worker_loop<B: InferenceBackend>(
             recalibration_seen,
             &mut report,
         ) {
-            FillOutcome::Closed => break,
-            FillOutcome::Recalibrate => {
-                // Idle out-of-band request: honour the newest generation
-                // (coalescing any requests that raced in) and check now.
-                // Both maintenance schedulers run — recalibration and scrub
-                // requests share the generation counter, and the epoch-skip
-                // fast path makes the unrequested check free.
-                recalibration_seen = shared.recalibration.load(Ordering::SeqCst);
-                if let Some(scheduler) = scheduler.as_mut() {
-                    record_recalibration(scheduler.check(&mut engine), &mut report);
-                }
-                if let Some(scrubber) = scrubber.as_mut() {
-                    record_scrub(scrubber.check(&mut engine), &mut report);
-                    if sync_health(worker, scrubber, shared, &mut report) {
-                        return quarantined_worker(worker, &engine, shared, config, report);
-                    }
-                }
-                continue;
-            }
-            FillOutcome::Batch => {}
+            break;
         }
         if !shared.answer_drained.load(Ordering::SeqCst) {
             // Abort in progress: reject instead of serving.
@@ -2588,61 +2519,74 @@ fn worker_loop<B: InferenceBackend>(
             for job in batch.drain(..) {
                 job.complete(Err(ServingError::ShutDown));
             }
-            continue;
         }
         bounce_failed_over(worker, shared, &mut batch);
-        if batch.is_empty() {
-            continue;
-        }
-        dispatch_batch(
-            worker,
-            &mut engine,
-            shared,
-            &mut scratch,
-            &mut steps,
-            &mut batch,
-            &mut samples,
-            &mut report,
-            true,
-            false,
-        );
-        // Between batches — every ticket of the batch is already answered,
-        // none is held — age the replica and run any drift or fault check
-        // that falls due. Queued requests still win: the next iteration pops
-        // them before the worker can idle.
-        if let Some(scheduler) = scheduler.as_mut() {
-            record_recalibration(
-                scheduler.tick(&mut engine, config.ticks_per_batch),
-                &mut report,
-            );
-        } else if config.ticks_per_batch > 0 {
-            engine.advance_time(config.ticks_per_batch);
-        }
-        if let Some(scrubber) = scrubber.as_mut() {
-            // The recalibration scheduler (or the branch above) already aged
-            // the replica's clock; the scrub scheduler only counts down.
-            record_scrub(
-                scrubber.note_ticks(&mut engine, config.ticks_per_batch),
-                &mut report,
-            );
-            if sync_health(worker, scrubber, shared, &mut report) {
-                return quarantined_worker(worker, &engine, shared, config, report);
+        // An empty batch is an idle doorbell, honoured by the generation
+        // check below.
+        if !batch.is_empty() {
+            // One model group at a time, each in FIFO order. A batch whose
+            // jobs share one model — every batch of a replica pool — is
+            // dispatched in place.
+            while let Some(model) = batch.first().map(|job| job.model) {
+                let jobs = if batch.iter().all(|job| job.model == model) {
+                    &mut batch
+                } else {
+                    group.clear();
+                    group.extend(batch.extract_if(.., |job| job.model == model));
+                    &mut group
+                };
+                match bank.iter_mut().find(|slot| slot.model == model) {
+                    Some(slot) => dispatch_batch(
+                        worker,
+                        slot,
+                        shared,
+                        &mut steps,
+                        jobs,
+                        &mut samples,
+                        &mut report,
+                    ),
+                    None => {
+                        // The model was swapped out between queueing and
+                        // dispatch (or an unrouted request reached a routed
+                        // bank): answer the typed error, never strand.
+                        let err = model.map_or(ServingError::NoReplicas, |model| {
+                            ServingError::ModelUnavailable { model }
+                        });
+                        report.unrouted += jobs.len() as u64;
+                        for job in jobs.drain(..) {
+                            job.complete(Err(err.clone()));
+                        }
+                    }
+                }
+            }
+            let ticks = config.ticks_per_batch;
+            if bank
+                .iter_mut()
+                .any(|slot| slot.age(ticks, worker, shared, &mut report))
+            {
+                return quarantine(worker, &bank, shared, config, report);
             }
         }
         let generation = shared.recalibration.load(Ordering::SeqCst);
         if generation != recalibration_seen {
+            // Honour the newest generation, coalescing any requests that
+            // raced in. The generation doubles as the swap doorbell.
             recalibration_seen = generation;
-            if let Some(scheduler) = scheduler.as_mut() {
-                record_recalibration(scheduler.check(&mut engine), &mut report);
-            }
-            if let Some(scrubber) = scrubber.as_mut() {
-                record_scrub(scrubber.check(&mut engine), &mut report);
-                if sync_health(worker, scrubber, shared, &mut report) {
-                    return quarantined_worker(worker, &engine, shared, config, report);
-                }
+            service_swaps(worker, &mut bank, shared, &config, &mut report);
+            if bank
+                .iter_mut()
+                .any(|slot| slot.check(worker, shared, &mut report))
+            {
+                return quarantine(worker, &bank, shared, config, report);
             }
         }
     }
+    // Final mailbox sweep: a swap posted during shutdown is answered (its
+    // drop guard reports the shutdown error) rather than stranded.
+    shared.mailboxes[worker]
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clear();
     report
 }
 
@@ -2650,13 +2594,15 @@ fn worker_loop<B: InferenceBackend>(
 /// deliberately away from the idle lots, whose `notify_one` wakes must only
 /// reach workers that may serve — until the pool closes, or until the last
 /// serving replica leaves. In the latter case the pool degrades gracefully:
-/// the worker re-enters the serving loop on the exact software twin of the
-/// shared model ([`FebimEngine::software_fallback`]), so requests keep
-/// being answered (bit-exact to the quantized software classifier) with no
-/// physical replica left.
-fn quarantined_worker<B: InferenceBackend>(
+/// the worker re-enters [`worker_loop`] on the exact software twin of its
+/// model ([`FebimEngine::software_fallback`]), so requests keep being
+/// answered (bit-exact to the quantized software classifier) with no
+/// physical replica left. The twin has no physical state, so its config
+/// carries no maintenance schedulers and no ageing; and with no replica
+/// serving there is nowhere left to fail over to.
+fn quarantine<B: InferenceBackend>(
     worker: usize,
-    engine: &FebimEngine<B>,
+    bank: &[TenantSlot<B>],
     shared: &PoolShared,
     config: ServingConfig,
     mut report: WorkerReport,
@@ -2664,7 +2610,17 @@ fn quarantined_worker<B: InferenceBackend>(
     report.quarantined = true;
     loop {
         if shared.serving_workers.load(Ordering::SeqCst) == 0 {
-            return fallback_loop(worker, engine.software_fallback(), shared, config, report);
+            let fallback = bank
+                .iter()
+                .map(|slot| (slot.model, slot.engine.software_fallback()))
+                .collect();
+            let config = ServingConfig {
+                ticks_per_batch: 0,
+                recalibration: None,
+                scrub: None,
+                ..config
+            };
+            return worker_loop(worker, fallback, shared, config, report);
         }
         if shared.closed.load(Ordering::SeqCst) {
             // Surviving replicas drain the rings; this one just leaves.
@@ -2674,66 +2630,8 @@ fn quarantined_worker<B: InferenceBackend>(
     }
 }
 
-/// Serving loop of a quarantined worker after every physical replica left
-/// the rotation: identical batching and completion semantics, but inference
-/// runs on the exact software fallback (no physical state, so no
-/// maintenance schedulers and no failover — there is nowhere left to fail
-/// over to).
-fn fallback_loop(
-    worker: usize,
-    mut engine: FebimEngine<crate::backend::SoftwareBackend>,
-    shared: &PoolShared,
-    config: ServingConfig,
-    mut report: WorkerReport,
-) -> WorkerReport {
-    let mut scratch = engine.make_scratch();
-    let mut steps: Vec<InferenceStep> = Vec::with_capacity(config.max_batch);
-    let mut batch: Vec<Job> = Vec::with_capacity(config.max_batch);
-    let mut samples: Vec<Vec<f64>> = Vec::with_capacity(config.max_batch);
-    let mut recalibration_seen = shared.recalibration.load(Ordering::SeqCst);
-    loop {
-        batch.clear();
-        match shared.fill_batch(
-            worker,
-            &mut batch,
-            config.max_batch,
-            config.max_wait_ticks,
-            recalibration_seen,
-            &mut report,
-        ) {
-            FillOutcome::Closed => break,
-            FillOutcome::Recalibrate => {
-                // The software twin has no physical state to maintain.
-                recalibration_seen = shared.recalibration.load(Ordering::SeqCst);
-                continue;
-            }
-            FillOutcome::Batch => {}
-        }
-        if !shared.answer_drained.load(Ordering::SeqCst) {
-            report.shutdown_rejected += batch.len() as u64;
-            for job in batch.drain(..) {
-                job.complete(Err(ServingError::ShutDown));
-            }
-            continue;
-        }
-        dispatch_batch(
-            worker,
-            &mut engine,
-            shared,
-            &mut scratch,
-            &mut steps,
-            &mut batch,
-            &mut samples,
-            &mut report,
-            false,
-            true,
-        );
-    }
-    report
-}
-
 // ---------------------------------------------------------------------------
-// Routed (multi-tenant) serving
+// Hot swaps of routed tenants
 // ---------------------------------------------------------------------------
 
 /// What one serviced hot swap did, returned through [`SwapTicket::wait`].
@@ -2825,16 +2723,7 @@ impl<B: InferenceBackend> Drop for SwapRequest<B> {
     }
 }
 
-/// One tenant model hosted by a routed worker: its engine plus a dedicated
-/// scratch (scratch dimensions depend on the model's class/feature counts,
-/// so tenants cannot share one).
-struct TenantSlot<B: InferenceBackend> {
-    model: u64,
-    engine: FebimEngine<B>,
-    scratch: crate::engine::EvalScratch,
-}
-
-/// Drains a routed worker's swap mailbox: evicts models (tearing their tile
+/// Drains a worker's swap mailbox: evicts models (tearing their tile
 /// regions off the fabric and pricing the erase pulses), installs the
 /// pre-built replacement engine, publishes the new route and answers the
 /// swap ticket. Runs strictly between batches — every ticket of the
@@ -2843,12 +2732,12 @@ fn service_swaps<B: InferenceBackend + 'static>(
     worker: usize,
     bank: &mut Vec<TenantSlot<B>>,
     shared: &PoolShared,
+    config: &ServingConfig,
     report: &mut WorkerReport,
 ) {
     loop {
         let boxed = {
             let mut mailbox = shared.mailboxes[worker]
-                .0
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
             // First in, first out: an eviction posted before a re-install
@@ -2867,7 +2756,7 @@ fn service_swaps<B: InferenceBackend + 'static>(
         let evicted = std::mem::take(&mut request.evict);
         for model in &evicted {
             shared.unroute(*model);
-            let Some(index) = bank.iter().position(|slot| slot.model == *model) else {
+            let Some(index) = bank.iter().position(|slot| slot.model == Some(*model)) else {
                 continue;
             };
             let mut slot = bank.swap_remove(index);
@@ -2878,12 +2767,7 @@ fn service_swaps<B: InferenceBackend + 'static>(
             }
         }
         let installed = request.install.take().map(|(model, engine)| {
-            let scratch = engine.make_scratch();
-            bank.push(TenantSlot {
-                model,
-                engine,
-                scratch,
-            });
+            bank.push(TenantSlot::new(Some(model), engine, config));
             shared.set_route(model, worker);
             model
         });
@@ -2901,141 +2785,6 @@ fn service_swaps<B: InferenceBackend + 'static>(
             }));
         }
     }
-}
-
-/// Serving loop of one routed worker: pops only its own ring (jobs are
-/// pinned to the bank hosting their model), groups each batch by model id
-/// and dispatches every group through the grouped-read path on that
-/// tenant's engine. Between batches it services hot-swap requests from its
-/// mailbox and ages every tenant replica; a request whose model was swapped
-/// out after queueing is answered with the typed
-/// [`ServingError::ModelUnavailable`]. No stealing, no failover: tenants
-/// live on exactly one bank.
-fn routed_worker_loop<B: InferenceBackend + 'static>(
-    worker: usize,
-    bank: Vec<(u64, FebimEngine<B>)>,
-    shared: &PoolShared,
-    config: ServingConfig,
-) -> WorkerReport {
-    let mut report = WorkerReport {
-        worker,
-        ..WorkerReport::default()
-    };
-    let mut bank: Vec<TenantSlot<B>> = bank
-        .into_iter()
-        .map(|(model, engine)| {
-            let scratch = engine.make_scratch();
-            TenantSlot {
-                model,
-                engine,
-                scratch,
-            }
-        })
-        .collect();
-    let mut steps: Vec<InferenceStep> = Vec::with_capacity(config.max_batch);
-    let mut batch: Vec<Job> = Vec::with_capacity(config.max_batch);
-    let mut sub: Vec<Job> = Vec::with_capacity(config.max_batch);
-    let mut samples: Vec<Vec<f64>> = Vec::with_capacity(config.max_batch);
-    let mut recalibration_seen = shared.recalibration.load(Ordering::SeqCst);
-    // Drain the mailbox once before serving: a swap posted during thread
-    // start-up may have bumped the generation before the load above, in
-    // which case no later doorbell distinguishes it from the initial value.
-    // The load-then-drain order re-establishes the invariant that
-    // `seen == G` implies every request posted before the bump to `G` has
-    // been serviced.
-    service_swaps(worker, &mut bank, shared, &mut report);
-    loop {
-        batch.clear();
-        match shared.fill_batch(
-            worker,
-            &mut batch,
-            config.max_batch,
-            config.max_wait_ticks,
-            recalibration_seen,
-            &mut report,
-        ) {
-            FillOutcome::Closed => break,
-            FillOutcome::Recalibrate => {
-                // The generation counter doubles as the swap doorbell on
-                // routed pools; an idle bump means the mailbox may hold work.
-                recalibration_seen = shared.recalibration.load(Ordering::SeqCst);
-                service_swaps(worker, &mut bank, shared, &mut report);
-                continue;
-            }
-            FillOutcome::Batch => {}
-        }
-        if !shared.answer_drained.load(Ordering::SeqCst) {
-            // Abort in progress: reject instead of serving.
-            report.shutdown_rejected += batch.len() as u64;
-            for job in batch.drain(..) {
-                job.complete(Err(ServingError::ShutDown));
-            }
-            continue;
-        }
-        // Dispatch the batch one model group at a time: partition the jobs
-        // of the first remaining model into `sub`, serve it on that
-        // tenant's engine, repeat until the batch is empty.
-        while let Some(model) = batch.first().and_then(|job| job.model) {
-            sub.clear();
-            let mut index = 0;
-            while index < batch.len() {
-                if batch[index].model == Some(model) {
-                    sub.push(batch.swap_remove(index));
-                } else {
-                    index += 1;
-                }
-            }
-            match bank.iter_mut().find(|slot| slot.model == model) {
-                Some(slot) => dispatch_batch(
-                    worker,
-                    &mut slot.engine,
-                    shared,
-                    &mut slot.scratch,
-                    &mut steps,
-                    &mut sub,
-                    &mut samples,
-                    &mut report,
-                    false,
-                    false,
-                ),
-                None => {
-                    // The model was swapped out between queueing and
-                    // dispatch: answer the typed error, never strand.
-                    report.unrouted += sub.len() as u64;
-                    for job in sub.drain(..) {
-                        job.complete(Err(ServingError::ModelUnavailable { model }));
-                    }
-                }
-            }
-        }
-        // A job without a model id cannot land on a routed pool's rings
-        // (both submit paths attach one); answer defensively anyway.
-        for job in batch.drain(..) {
-            report.unrouted += 1;
-            job.complete(Err(ServingError::NoReplicas));
-        }
-        // Between batches: age every tenant replica, then service any
-        // pending swap (the ring is the only source of requests, so nothing
-        // else can observe the bank mid-swap).
-        if config.ticks_per_batch > 0 {
-            for slot in bank.iter_mut() {
-                slot.engine.advance_time(config.ticks_per_batch);
-            }
-        }
-        let generation = shared.recalibration.load(Ordering::SeqCst);
-        if generation != recalibration_seen {
-            recalibration_seen = generation;
-            service_swaps(worker, &mut bank, shared, &mut report);
-        }
-    }
-    // Final mailbox sweep: a swap posted during shutdown is answered (its
-    // drop guard reports the shutdown error) rather than stranded.
-    shared.mailboxes[worker]
-        .0
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clear();
-    report
 }
 
 #[cfg(test)]
@@ -4148,6 +3897,167 @@ mod tests {
         let stats = pool.shutdown();
         assert_eq!(stats.swaps, 2);
         assert_eq!(stats.unrouted, 0);
+    }
+
+    /// The samples of every grouped read, tagged with the tenant served.
+    type ReadLog = Arc<Mutex<Vec<(u64, Vec<Vec<f64>>)>>>;
+
+    /// A gated backend that logs the samples of every grouped read.
+    #[derive(Debug)]
+    struct RecordingBackend {
+        inner: GatedBackend,
+        model: u64,
+        reads: ReadLog,
+    }
+
+    impl InferenceBackend for RecordingBackend {
+        fn info(&self) -> BackendInfo {
+            self.inner.info()
+        }
+
+        fn make_scratch(&self) -> EvalScratch {
+            self.inner.make_scratch()
+        }
+
+        fn infer_into(
+            &self,
+            sample: &[f64],
+            scratch: &mut EvalScratch,
+        ) -> CoreResult<InferenceStep> {
+            self.inner.infer_into(sample, scratch)
+        }
+
+        fn infer_batch_into(
+            &self,
+            samples: &[Vec<f64>],
+            scratch: &mut EvalScratch,
+            steps: &mut Vec<InferenceStep>,
+        ) -> CoreResult<BatchTelemetry> {
+            self.reads
+                .lock()
+                .unwrap()
+                .push((self.model, samples.to_vec()));
+            self.inner.infer_batch_into(samples, scratch, steps)
+        }
+
+        fn reprogram(&mut self) -> CoreResult<()> {
+            self.inner.reprogram()
+        }
+
+        fn current_map_into(&self, out: &mut Vec<f64>) -> CoreResult<()> {
+            self.inner.current_map_into(out)
+        }
+    }
+
+    /// A routed batch that interleaves two tenants is served one model
+    /// group at a time, and each group reaches its engine in submission
+    /// order.
+    #[test]
+    fn routed_batches_keep_fifo_order_within_each_model_group() {
+        let (train, test) = split_for(919);
+        let gate = Gate::new();
+        let reads: ReadLog = Arc::default();
+        let tenant = |model: u64| {
+            let gate = Arc::clone(&gate);
+            let reads = Arc::clone(&reads);
+            let engine = FebimEngine::fit_with(
+                &train,
+                EngineConfig::febim_default(),
+                move |quantized, config| {
+                    Ok(RecordingBackend {
+                        inner: GatedBackend {
+                            inner: CrossbarBackend::new(quantized, config)?,
+                            gate,
+                        },
+                        model,
+                        reads,
+                    })
+                },
+            )
+            .unwrap();
+            (model, engine)
+        };
+        let pool = ServingPool::new_routed(
+            vec![vec![tenant(1), tenant(2)]],
+            ServingConfig::default().with_max_batch(8),
+        )
+        .unwrap();
+        let samples = samples_of(&test);
+        // Pause the bank inside a read so the interleaved stream queues up
+        // behind it and is popped as one batch.
+        let held = pool.submit_routed(1, samples[0].clone()).unwrap();
+        gate.wait_entered(1);
+        let mut submitted: [Vec<Vec<f64>>; 2] = [vec![samples[0].clone()], Vec::new()];
+        let tickets: Vec<Ticket> = (1..=8)
+            .map(|index| {
+                let model = 1 + (index % 2) as u64;
+                submitted[(model - 1) as usize].push(samples[index].clone());
+                pool.submit_routed(model, samples[index].clone()).unwrap()
+            })
+            .collect();
+        gate.open();
+        assert!(held.wait().is_ok());
+        for ticket in tickets {
+            assert!(ticket.wait().is_ok());
+        }
+        let stats = pool.shutdown();
+        assert_eq!(stats.requests, 9);
+        let reads = reads.lock().unwrap();
+        for (model, expected) in [1u64, 2].iter().zip(&submitted) {
+            let served: Vec<Vec<f64>> = reads
+                .iter()
+                .filter(|(tenant, _)| tenant == model)
+                .flat_map(|(_, samples)| samples.iter().cloned())
+                .collect();
+            assert_eq!(&served, expected, "model {model} served out of order");
+        }
+        // Every grouped read served a single tenant.
+        assert_eq!(
+            reads
+                .iter()
+                .map(|(_, samples)| samples.len())
+                .sum::<usize>(),
+            9
+        );
+    }
+
+    /// Maintenance schedulers have no meaning on a routed bank (a tenant
+    /// lives on one bank, with no replica to fail over to), so a routed
+    /// pool rejects them instead of silently ignoring them.
+    #[test]
+    fn routed_pools_reject_recalibration_and_scrub() {
+        let (train, _) = split_for(920);
+        let engine = FebimEngine::fit_tiled(
+            &train,
+            EngineConfig::febim_default(),
+            TileShape::new(2, 24).unwrap(),
+        )
+        .unwrap();
+        let configs = [
+            (
+                "recalibration",
+                ServingConfig::default().with_recalibration(RecalibrationPolicy::new(100, 1e-3)),
+            ),
+            (
+                "scrub",
+                ServingConfig::default().with_scrub(ScrubPolicy::new(100, 1e-3)),
+            ),
+        ];
+        for (field, config) in configs {
+            match ServingPool::new_routed(vec![vec![(1u64, engine.clone())]], config) {
+                Err(ServingError::InvalidConfig { name, .. }) => assert_eq!(name, field),
+                other => panic!("expected InvalidConfig for {field}, got {other:?}"),
+            }
+        }
+        // Replica pools keep both schedulers.
+        assert!(ServingPool::replicate(
+            &engine,
+            1,
+            ServingConfig::default()
+                .with_recalibration(RecalibrationPolicy::new(100, 1e-3))
+                .with_scrub(ScrubPolicy::new(100, 1e-3)),
+        )
+        .is_ok());
     }
 
     /// A swap left pending at shutdown resolves to the typed shutdown error

@@ -4,11 +4,12 @@
 //! backpressure and cross-ring work stealing. The invariant under test is
 //! **exactly-once accounting**: every admitted request is answered exactly
 //! once — with its bit-correct prediction or with the typed
-//! [`ServingError::ShutDown`] — across three exit paths:
+//! [`ServingError::ShutDown`] — across these exit paths:
 //!
 //! * normal drain (shutdown after all producers finish);
 //! * mid-stream `abort` with a deep backlog of queued requests;
-//! * a worker panicking mid-batch while the rest of the pool keeps serving.
+//! * a worker panicking mid-batch while the rest of the pool keeps serving;
+//! * a routed pool's mid-stream `abort`, across two banks of two tenants.
 //!
 //! The instrumented backend counts every inference globally, so the normal
 //! drain can additionally prove no request was inferred twice (no
@@ -461,4 +462,95 @@ fn worker_panic_under_load_never_hangs_a_ticket() {
     // The crashed worker's report (its served count) is lost, so the pool
     // statistics can only undercount the producers' Ok tally.
     assert!(stats.requests <= ok);
+}
+
+/// The routed path under the same load: four producers spread blocking
+/// routed submissions over two banks of two tenants each, then an abort
+/// lands while a backlog is still queued. Every admitted ticket resolves
+/// exactly once — bit-correct for its own tenant or `ShutDown` — and the
+/// pool's statistics partition the admitted stream the same way.
+#[test]
+fn routed_abort_partitions_every_ticket_across_banks() {
+    const PRODUCERS: usize = 4;
+    const PER_PRODUCER: usize = 40;
+    const MODELS: [u64; 4] = [11, 12, 21, 22];
+    // Each tenant's engine goes to its bank; its test set and sequential
+    // reference stay here for the producers and the checks.
+    let mut engines = Vec::new();
+    let mut tenants: Vec<(Dataset, Vec<usize>)> = Vec::new();
+    for tenant in 0..MODELS.len() as u64 {
+        let rig = stress_rig(3105 + tenant, 400_000, 0);
+        engines.push(rig.engine);
+        tenants.push((rig.test, rig.expected));
+    }
+    let mut engines = engines.into_iter();
+    let mut bank = |models: [u64; 2]| -> Vec<(u64, FebimEngine<StressBackend>)> {
+        models
+            .into_iter()
+            .map(|model| (model, engines.next().expect("one engine per model")))
+            .collect()
+    };
+    let banks = vec![bank([MODELS[0], MODELS[1]]), bank([MODELS[2], MODELS[3]])];
+    let pool = ServingPool::new_routed(
+        banks,
+        ServingConfig::febim_default()
+            .with_max_batch(4)
+            .with_queue_depth(32),
+    )
+    .expect("routed pool");
+
+    let tenants = &tenants;
+    let pending: Vec<(usize, usize, Ticket)> = std::thread::scope(|scope| {
+        (0..PRODUCERS)
+            .map(|producer| {
+                let pool = &pool;
+                scope.spawn(move || {
+                    let mut rng = seeded_rng(9400 + producer as u64);
+                    (0..PER_PRODUCER)
+                        .map(|_| {
+                            let tenant = rng.gen_range(0..MODELS.len());
+                            let test = &tenants[tenant].0;
+                            let index = rng.gen_range(0..test.n_samples());
+                            let sample = test.sample(index).expect("sample").to_vec();
+                            let ticket = pool
+                                .submit_routed_blocking(MODELS[tenant], sample)
+                                .expect("submit");
+                            (tenant, index, ticket)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .flat_map(|handle| handle.join().expect("producer thread"))
+            .collect()
+    });
+    let admitted = pending.len() as u64;
+    assert_eq!(admitted, (PRODUCERS * PER_PRODUCER) as u64);
+
+    let aborter = std::thread::spawn(move || pool.abort());
+    let mut ok = 0u64;
+    let mut rejected = 0u64;
+    for (tenant, index, ticket) in pending {
+        match ticket.wait() {
+            Ok(outcome) => {
+                assert_eq!(outcome.prediction, tenants[tenant].1[index]);
+                ok += 1;
+            }
+            Err(ServingError::ShutDown) => rejected += 1,
+            Err(other) => panic!("unexpected ticket error: {other}"),
+        }
+    }
+    let stats = aborter.join().expect("abort thread");
+
+    assert_eq!(ok + rejected, admitted);
+    assert_eq!(stats.requests, ok, "served tally must match pool stats");
+    assert_eq!(stats.shutdown_rejected, rejected);
+    assert_eq!(stats.requests + stats.shutdown_rejected, admitted);
+    assert_eq!(stats.unrouted, 0);
+    assert_eq!(stats.crashed_workers, 0);
+    assert!(
+        rejected > 0,
+        "the slow backend must leave a backlog for abort to drain"
+    );
 }
