@@ -1,40 +1,30 @@
 //! Fabric-scale benchmark: tiled multi-array fabric vs. monolithic crossbar.
 //!
 //! Deploys the same compiled model on the paper's single array (a 1×1
-//! [`TileGrid`]) and on a multi-tile grid, verifies the two decide every sample
-//! identically (the fabric read path is bit-exact), measures tiled vs.
+//! [`TileGrid`](febim_crossbar::TileGrid)) and on a multi-tile grid,
+//! verifies the two decide every sample identically (the fabric read path
+//! is bit-exact), measures tiled vs.
 //! monolithic read/inference throughput at iris scale and at the Fig. 6
 //! stress scale, times the epoch-parallel Monte-Carlo sweep running entirely
 //! on the fabric backend, and writes everything — tile plan, per-workload
 //! timings, deployment comparison and evaluation reports — to a JSON record
-//! via the `serde` JSON emitters (no hand-rolled formatting).
-//!
-//! Usage:
-//!
-//! ```console
-//! cargo run --release -p febim-bench --bin fabric [-- --quick] [--out PATH]
-//! ```
-//!
-//! `--quick` shortens the measurement window (used by the CI bench-smoke
-//! step); `--out` overrides the output path (default `BENCH_fabric.json` in
-//! the current directory).
+//! via the `serde` JSON emitters (see the crate docs for the command line).
 
 use std::hint::black_box;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 use serde::Serialize;
 
-use febim_bench::{eng, measure_min_ns as measure};
+use febim_bench::{eng, fig6_grid, measure_min_ns as measure, write_record, Args};
 use febim_compare::FabricComparison;
 use febim_core::{
     variation_sweep_with_backend, EngineConfig, EvaluationReport, FebimEngine, TiledFabricBackend,
 };
-use febim_crossbar::{Activation, CrossbarLayout, ProgrammingMode, TileGrid, TilePlan, TileShape};
+use febim_crossbar::{Activation, TilePlan, TileShape};
 use febim_data::rng::seeded_rng;
 use febim_data::split::stratified_split;
 use febim_data::synthetic::iris_like;
 use febim_data::Dataset;
-use febim_device::LevelProgrammer;
 
 /// One measured workload: nanoseconds per iteration on both deployments.
 #[derive(Debug, Serialize)]
@@ -74,9 +64,6 @@ struct MonteCarloTiming {
 /// fabric's performance trajectory.
 #[derive(Debug, Serialize)]
 struct FabricRecord {
-    bench: &'static str,
-    generated_unix_s: u64,
-    quick: bool,
     /// Tile placement of the iris-scale engine under test.
     plan: TilePlan,
     workloads: Vec<Workload>,
@@ -86,42 +73,9 @@ struct FabricRecord {
     tiled_report: EvaluationReport,
 }
 
-/// The Fig. 6-scale stress pair: a 64×512 model programmed identically onto
-/// one monolithic array (a 1×1 grid) and onto a 2×4 grid of 32×128 tiles
-/// (the model exceeds the tile in both dimensions).
-fn fig6_scale_pair() -> (TileGrid, TileGrid) {
-    let layout = CrossbarLayout::new(64, 32, 16, false).expect("layout");
-    let programmer = LevelProgrammer::febim_default(10).expect("programmer");
-    let shape = TileShape::new(32, 128).expect("shape");
-    let plan = TilePlan::new(layout, shape).expect("plan");
-    assert!(plan.row_tiles() >= 2 && plan.col_tiles() >= 2);
-    let mut array = TileGrid::new(TilePlan::whole(layout).expect("plan"), programmer.clone());
-    let mut grid = TileGrid::new(plan, programmer);
-    let levels: Vec<Vec<Option<usize>>> = (0..layout.rows())
-        .map(|row| {
-            (0..layout.columns())
-                .map(|column| Some((row + column) % 10))
-                .collect()
-        })
-        .collect();
-    array
-        .program_matrix(&levels, ProgrammingMode::Ideal)
-        .expect("program array");
-    grid.program_matrix(&levels, ProgrammingMode::Ideal)
-        .expect("program grid");
-    (array, grid)
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_fabric.json".to_string());
-    let target = if quick {
+    let args = Args::parse("BENCH_fabric.json", None);
+    let target = if args.quick {
         Duration::from_millis(40)
     } else {
         Duration::from_millis(400)
@@ -129,7 +83,7 @@ fn main() {
 
     println!(
         "fabric: measuring tiled multi-array fabric vs. monolithic crossbar ({} mode)\n",
-        if quick { "quick" } else { "full" }
+        args.mode()
     );
 
     // Iris workload: the paper's 3×64 model on 2×24 tiles — a 2 (class
@@ -191,7 +145,11 @@ fn main() {
     let evidence: Vec<usize> = (0..4).map(|node| node % 16).collect();
     let iris_sparse = Activation::from_observation(&iris_layout, &evidence).expect("activation");
     let iris_all = Activation::all_columns(&iris_layout);
-    let (fig6_array, fig6_grid) = fig6_scale_pair();
+    // The Fig. 6-scale stress pair: one monolithic array and a 2×4 grid of
+    // 32×128 tiles (the model exceeds the tile in both dimensions).
+    let fig6_array = fig6_grid(None);
+    let fig6_tiles = fig6_grid(Some(TileShape::new(32, 128).expect("shape")));
+    assert!(fig6_tiles.plan().row_tiles() >= 2 && fig6_tiles.plan().col_tiles() >= 2);
     let fig6_evidence: Vec<usize> = (0..32).map(|node| node % 16).collect();
     let fig6_sparse =
         Activation::from_observation(fig6_array.layout(), &fig6_evidence).expect("activation");
@@ -213,13 +171,13 @@ fn main() {
         (
             "fig6_read_64x512_on_2x4_grid/sparse_observation",
             &fig6_array,
-            &fig6_grid,
+            &fig6_tiles,
             &fig6_sparse,
         ),
         (
             "fig6_read_64x512_on_2x4_grid/all_columns",
             &fig6_array,
-            &fig6_grid,
+            &fig6_tiles,
             &fig6_all,
         ),
     ] {
@@ -252,7 +210,7 @@ fn main() {
 
     // Monte-Carlo on the fabric backend: epochs (each owning its own
     // multi-tile fabric) spread across the cores, serial run as baseline.
-    let epochs = if quick { 2 } else { 8 };
+    let epochs = if args.quick { 2 } else { 8 };
     let parallelism = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -315,25 +273,18 @@ fn main() {
         comparison.accuracy_matches()
     );
 
-    let record = FabricRecord {
-        bench: "fabric",
-        generated_unix_s: SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-        quick,
-        plan,
-        workloads,
-        monte_carlo,
-        comparison,
-        monolithic_report,
-        tiled_report,
-    };
-    match std::fs::write(&out_path, serde::json::to_string_pretty(&record) + "\n") {
-        Ok(()) => println!("\n(written to {out_path})"),
-        Err(err) => {
-            eprintln!("could not write {out_path}: {err}");
-            std::process::exit(1);
-        }
-    }
+    println!();
+    write_record(
+        &args.out,
+        "fabric",
+        args.quick,
+        &FabricRecord {
+            plan,
+            workloads,
+            monte_carlo,
+            comparison,
+            monolithic_report,
+            tiled_report,
+        },
+    );
 }

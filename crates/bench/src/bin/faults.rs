@@ -22,25 +22,15 @@
 //!    (not gated — it is allowed to cost more, it just has to be honest)
 //!    and every post-quarantine answer is verified bit-correct.
 //!
-//! Everything lands in `BENCH_faults.json`.
-//!
-//! Usage:
-//!
-//! ```console
-//! cargo run --release -p febim-bench --bin faults \
-//!     [-- --quick] [--out PATH] [--budget PATH]
-//! ```
-//!
-//! `--quick` shortens the measurement (used by the CI bench-smoke step);
-//! `--out` overrides the output path (default `BENCH_faults.json`);
-//! `--budget` overrides the budget file path (default `FAULT_BUDGET.json`).
+//! Everything lands in `BENCH_faults.json` (see the crate docs for the
+//! command line).
 
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::Instant;
 
 use rand::Rng;
 use serde::Serialize;
 
-use febim_bench::load_budget;
+use febim_bench::{request_stream, write_record, Args};
 use febim_core::{
     EngineConfig, FebimEngine, ReplicaHealth, ScrubPolicy, ScrubScheduler, ServingConfig,
     ServingPool,
@@ -49,14 +39,10 @@ use febim_crossbar::{FaultKind, FaultSchedule, ScheduledFault, TileShape};
 use febim_data::rng::seeded_rng;
 use febim_data::split::stratified_split;
 use febim_data::synthetic::iris_like;
-use febim_data::Dataset;
 
 /// The persisted record tracking the self-healing trajectory.
 #[derive(Debug, Serialize)]
 struct FaultRecord {
-    bench: &'static str,
-    generated_unix_s: u64,
-    quick: bool,
     /// Chaos events scheduled against the scrubbed fabric.
     faults_scheduled: usize,
     /// Scrub checks actually run across the campaign.
@@ -144,17 +130,6 @@ fn chaos_schedule(seed: u64, events: usize, horizon: u64) -> FaultSchedule {
     FaultSchedule::new(faults)
 }
 
-/// Request stream: the test split cycled up to `count` samples.
-fn request_stream(test: &Dataset, count: usize) -> Vec<Vec<f64>> {
-    (0..count)
-        .map(|index| {
-            test.sample(index % test.n_samples())
-                .expect("sample")
-                .to_vec()
-        })
-        .collect()
-}
-
 /// ns/request of one full `serve` pass over `requests`.
 fn measure_pool(pool: &ServingPool, requests: &[Vec<f64>]) -> f64 {
     let start = Instant::now();
@@ -168,34 +143,20 @@ fn measure_pool(pool: &ServingPool, requests: &[Vec<f64>]) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_faults.json".to_string());
-    let budget_path = args
-        .iter()
-        .position(|a| a == "--budget")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "FAULT_BUDGET.json".to_string());
-    let transient_events = if quick { 8 } else { 24 };
-    let horizon: u64 = if quick { 120 } else { 360 };
+    let args = Args::parse("BENCH_faults.json", Some("FAULT_BUDGET.json"));
+    let transient_events = if args.quick { 8 } else { 24 };
+    let horizon: u64 = if args.quick { 120 } else { 360 };
     let interval: u64 = 10;
-    let request_count = if quick { 2_000 } else { 10_000 };
+    let request_count = if args.quick { 2_000 } else { 10_000 };
 
-    let budget = |key: &str| load_budget(&budget_path, key);
-    let max_detection_periods = budget("max_detection_periods");
-    let max_repair_pulses_per_cell = budget("max_repair_pulses_per_cell");
-    let min_healed_retention = budget("min_healed_retention");
+    let max_detection_periods = args.threshold("max_detection_periods");
+    let max_repair_pulses_per_cell = args.threshold("max_repair_pulses_per_cell");
+    let min_healed_retention = args.threshold("min_healed_retention");
 
     println!(
         "faults: {transient_events}+2 chaos events over {horizon} ticks, scrub every \
          {interval} ticks, {request_count} timed requests per pool ({} mode)\n",
-        if quick { "quick" } else { "full" }
+        args.mode()
     );
 
     let dataset = iris_like(42).expect("dataset");
@@ -346,42 +307,34 @@ fn main() {
     assert!(degraded_stats.scrubs >= 1);
     assert!(degraded_stats.faults_detected >= 1);
 
-    let record = FaultRecord {
-        bench: "faults",
-        generated_unix_s: SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-        quick,
-        faults_scheduled,
-        scrub_checks: report.checks,
-        scrub_skips: report.skipped_checks,
-        faults_detected,
-        cells_repaired: report.outcome.cells_repaired,
-        rows_remapped: report.outcome.rows_remapped,
-        detection_periods,
-        max_detection_periods,
-        repair_pulses: report.outcome.pulses_applied,
-        repair_energy_j: report.outcome.energy_joules,
-        repair_pulses_per_cell,
-        max_repair_pulses_per_cell,
-        fresh_accuracy,
-        faulted_accuracy,
-        healed_accuracy,
-        healed_retention,
-        min_healed_retention,
-        requests: request_count,
-        healthy_ns_per_request: healthy_ns,
-        degraded_ns_per_request: degraded_ns,
-        failover_overhead,
-        quarantined_workers: degraded_stats.quarantined_workers,
-        fallback_served: degraded_stats.fallback_served,
-    };
-    match std::fs::write(&out_path, serde::json::to_string_pretty(&record) + "\n") {
-        Ok(()) => println!("(written to {out_path})"),
-        Err(err) => {
-            eprintln!("could not write {out_path}: {err}");
-            std::process::exit(1);
-        }
-    }
+    write_record(
+        &args.out,
+        "faults",
+        args.quick,
+        &FaultRecord {
+            faults_scheduled,
+            scrub_checks: report.checks,
+            scrub_skips: report.skipped_checks,
+            faults_detected,
+            cells_repaired: report.outcome.cells_repaired,
+            rows_remapped: report.outcome.rows_remapped,
+            detection_periods,
+            max_detection_periods,
+            repair_pulses: report.outcome.pulses_applied,
+            repair_energy_j: report.outcome.energy_joules,
+            repair_pulses_per_cell,
+            max_repair_pulses_per_cell,
+            fresh_accuracy,
+            faulted_accuracy,
+            healed_accuracy,
+            healed_retention,
+            min_healed_retention,
+            requests: request_count,
+            healthy_ns_per_request: healthy_ns,
+            degraded_ns_per_request: degraded_ns,
+            failover_overhead,
+            quarantined_workers: degraded_stats.quarantined_workers,
+            fallback_served: degraded_stats.fallback_served,
+        },
+    );
 }

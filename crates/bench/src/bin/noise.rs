@@ -18,39 +18,23 @@
 //!    bit-exact) while doing real refresh work.
 //!
 //! Everything lands in `BENCH_noise.json`: the measured throughputs, the
-//! realism overhead factor and the drift-resilience comparison table.
-//!
-//! Usage:
-//!
-//! ```console
-//! cargo run --release -p febim-bench --bin noise \
-//!     [-- --quick] [--out PATH] [--budget PATH]
-//! ```
-//!
-//! `--quick` shortens the measurement (used by the CI bench-smoke step);
-//! `--out` overrides the output path (default `BENCH_noise.json`);
-//! `--budget` overrides the budget file path (default `NOISE_BUDGET.json`).
-
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+//! realism overhead factor and the drift-resilience comparison table (see
+//! the crate docs for the command line).
 
 use serde::Serialize;
 
-use febim_bench::load_budget;
+use febim_bench::{measure_reads, remeasure, request_stream, write_record, Args};
 use febim_compare::ResilienceComparison;
-use febim_core::{noise_campaign, EngineConfig, FebimEngine, InferenceBackend, NoiseScenario};
+use febim_core::{noise_campaign, EngineConfig, FebimEngine, NoiseScenario};
 use febim_data::rng::seeded_rng;
 use febim_data::split::stratified_split;
 use febim_data::synthetic::iris_like;
-use febim_data::Dataset;
 use febim_device::{NonIdealityStack, ReadDisturb, RetentionDrift, WireResistance};
 use febim_quant::QuantConfig;
 
 /// The persisted record tracking the realism-cost trajectory.
 #[derive(Debug, Serialize)]
 struct NoiseRecord {
-    bench: &'static str,
-    generated_unix_s: u64,
-    quick: bool,
     /// Inferences timed per measurement pass.
     inferences: usize,
     /// ns/inference of the ideal-stack engine — the gated hot path.
@@ -79,58 +63,16 @@ fn severe_stack() -> NonIdealityStack {
         .with_wire(WireResistance::uniform(2.0))
 }
 
-/// ns/inference of `engine` over `samples`, best of `passes` passes.
-fn measure_reads<B: InferenceBackend>(
-    engine: &FebimEngine<B>,
-    samples: &[Vec<f64>],
-    passes: usize,
-) -> f64 {
-    let mut scratch = engine.make_scratch();
-    let mut best_ns = f64::INFINITY;
-    for _ in 0..passes {
-        let start = Instant::now();
-        for sample in samples {
-            engine.infer_into(sample, &mut scratch).expect("infer");
-        }
-        best_ns = best_ns.min(start.elapsed().as_nanos() as f64 / samples.len() as f64);
-    }
-    best_ns
-}
-
-/// Request stream: the test split cycled up to `count` samples.
-fn request_stream(test: &Dataset, count: usize) -> Vec<Vec<f64>> {
-    (0..count)
-        .map(|index| {
-            test.sample(index % test.n_samples())
-                .expect("sample")
-                .to_vec()
-        })
-        .collect()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_noise.json".to_string());
-    let budget_path = args
-        .iter()
-        .position(|a| a == "--budget")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "NOISE_BUDGET.json".to_string());
-    let inferences = if quick { 4_000 } else { 20_000 };
-    let passes = if quick { 3 } else { 5 };
-    let epochs = if quick { 2 } else { 8 };
+    let args = Args::parse("BENCH_noise.json", Some("NOISE_BUDGET.json"));
+    let inferences = if args.quick { 4_000 } else { 20_000 };
+    let passes = if args.quick { 3 } else { 5 };
+    let epochs = if args.quick { 2 } else { 8 };
 
     println!(
         "noise: timing the ideal vs non-ideal read path over {inferences} inferences \
          and running a {epochs}-epoch drift-resilience campaign ({} mode)\n",
-        if quick { "quick" } else { "full" }
+        args.mode()
     );
 
     let dataset = iris_like(42).expect("dataset");
@@ -141,7 +83,7 @@ fn main() {
     //    conductances with zero non-ideality bookkeeping on the hot loop.
     let ideal_config = EngineConfig::febim_default().with_non_idealities(NonIdealityStack::ideal());
     let ideal_engine = FebimEngine::fit(&split.train, ideal_config).expect("ideal engine");
-    let mut ideal_ns = measure_reads(&ideal_engine, &samples, passes);
+    let ideal_ns = measure_reads(&ideal_engine, &samples, passes);
 
     // 2. The realism cost: the same reads with the full severity stack, aged
     //    far enough that drift, disturb tiers and IR-drop are all active.
@@ -201,19 +143,19 @@ fn main() {
     // Throughput gate: the ideal read path is the product's hot loop, so it
     // must hold the checked-in ns/inference budget. Re-measure with fresh
     // passes before failing a noisy run on a loaded host.
-    let budget = load_budget(&budget_path, "ideal_ns_per_inference_budget");
-    for attempt in 0..3 {
-        if ideal_ns <= budget {
-            break;
-        }
-        println!(
-            "re-measuring the ideal read path (attempt {}, {:.1} ns vs {:.1} ns budget)",
-            attempt + 1,
-            ideal_ns,
-            budget
-        );
-        ideal_ns = ideal_ns.min(measure_reads(&ideal_engine, &samples, passes + 1));
-    }
+    let budget = args.threshold("ideal_ns_per_inference_budget");
+    let ideal_ns = remeasure(
+        ideal_ns,
+        |&ideal_ns| ideal_ns <= budget,
+        f64::min,
+        |attempt, &ideal_ns| {
+            println!(
+                "re-measuring the ideal read path (attempt {attempt}, {ideal_ns:.1} ns vs \
+                 {budget:.1} ns budget)"
+            );
+            measure_reads(&ideal_engine, &samples, passes + 1)
+        },
+    );
     let realism_overhead = noisy_ns / ideal_ns;
     println!(
         "throughput: ideal {ideal_ns:.1} ns/inference (budget {budget:.1} ns), \
@@ -225,27 +167,19 @@ fn main() {
          ({ideal_ns:.1} ns > {budget:.1} ns); fix the regression or re-baseline NOISE_BUDGET.json"
     );
 
-    let record = NoiseRecord {
-        bench: "noise",
-        generated_unix_s: SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-        quick,
-        inferences,
-        ideal_ns_per_inference: ideal_ns,
-        ideal_ns_per_inference_budget: budget,
-        noisy_ns_per_inference: noisy_ns,
-        realism_overhead,
-        worst_retention_without_refresh: worst_without,
-        worst_retention_with_refresh: worst_with,
-        resilience,
-    };
-    match std::fs::write(&out_path, serde::json::to_string_pretty(&record) + "\n") {
-        Ok(()) => println!("(written to {out_path})"),
-        Err(err) => {
-            eprintln!("could not write {out_path}: {err}");
-            std::process::exit(1);
-        }
-    }
+    write_record(
+        &args.out,
+        "noise",
+        args.quick,
+        &NoiseRecord {
+            inferences,
+            ideal_ns_per_inference: ideal_ns,
+            ideal_ns_per_inference_budget: budget,
+            noisy_ns_per_inference: noisy_ns,
+            realism_overhead,
+            worst_retention_without_refresh: worst_without,
+            worst_retention_with_refresh: worst_with,
+            resilience,
+        },
+    );
 }

@@ -4,30 +4,19 @@
 //! ("after") against the uncached dense reference path that re-evaluates the
 //! FeFET I-V model per cell ("before" — the pre-cache implementation), and
 //! writes the results to a JSON record so the repository's perf trajectory
-//! accumulates over time.
-//!
-//! Usage:
-//!
-//! ```console
-//! cargo run --release -p febim-bench --bin perf [-- --quick] [--out PATH]
-//! ```
-//!
-//! `--quick` shortens the measurement window (used by the CI bench-smoke
-//! step); `--out` overrides the output path (default `BENCH_inference.json`
-//! in the current directory).
+//! accumulates over time (see the crate docs for the command line).
 
 use std::hint::black_box;
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::Duration;
 
 use serde::Serialize;
 
-use febim_bench::{eng, measure_min_ns as measure};
+use febim_bench::{eng, fig6_grid, measure_min_ns as measure, write_record, Args};
 use febim_core::{EngineConfig, FebimEngine};
-use febim_crossbar::{Activation, CrossbarLayout, ProgrammingMode, TileGrid, TilePlan};
+use febim_crossbar::Activation;
 use febim_data::rng::seeded_rng;
 use febim_data::split::stratified_split;
 use febim_data::synthetic::iris_like;
-use febim_device::LevelProgrammer;
 
 /// One measured workload: nanoseconds per iteration before and after.
 #[derive(Debug, Serialize)]
@@ -49,42 +38,15 @@ impl Record {
     }
 }
 
-/// The persisted perf record (serialized to JSON by the `serde` shim).
+/// The persisted perf record.
 #[derive(Debug, Serialize)]
 struct PerfRecord {
-    bench: &'static str,
-    generated_unix_s: u64,
-    quick: bool,
     workloads: Vec<Record>,
 }
 
-/// Builds the Fig. 6-scale stress array: 64 wordlines, 32 evidence nodes of
-/// 16 levels each (512 bitlines), programmed with the staggered pattern of
-/// the scalability sweeps, on one monolithic array (a 1×1 tile grid).
-fn fig6_array() -> TileGrid {
-    let layout = CrossbarLayout::new(64, 32, 16, false).expect("layout");
-    let programmer = LevelProgrammer::febim_default(10).expect("programmer");
-    let mut array = TileGrid::new(TilePlan::whole(layout).expect("plan"), programmer);
-    for row in 0..64 {
-        for column in 0..array.layout().columns() {
-            array
-                .program_cell(row, column, (row + column) % 10, ProgrammingMode::Ideal)
-                .expect("program");
-        }
-    }
-    array
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_inference.json".to_string());
-    let target = if quick {
+    let args = Args::parse("BENCH_inference.json", None);
+    let target = if args.quick {
         Duration::from_millis(40)
     } else {
         Duration::from_millis(400)
@@ -92,7 +54,7 @@ fn main() {
 
     println!(
         "perf: measuring cached sparse read path vs. uncached dense reference ({} mode)\n",
-        if quick { "quick" } else { "full" }
+        args.mode()
     );
 
     // Iris-like workload: the paper's 3×64 crossbar.
@@ -171,8 +133,9 @@ fn main() {
         ),
     );
 
-    // Fig. 6-scale layout: 64×512 reads, sparse observation and all-columns.
-    let array = fig6_array();
+    // Fig. 6-scale layout: 64×512 reads on one monolithic array, sparse
+    // observation and all-columns.
+    let array = fig6_grid(None);
     let evidence: Vec<usize> = (0..32).map(|node| node % 16).collect();
     let sparse = Activation::from_observation(array.layout(), &evidence).expect("activation");
     let all = Activation::all_columns(array.layout());
@@ -239,20 +202,11 @@ fn main() {
         );
     }
 
-    let record = PerfRecord {
-        bench: "inference",
-        generated_unix_s: SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-        quick,
-        workloads: records,
-    };
-    match std::fs::write(&out_path, serde::json::to_string_pretty(&record) + "\n") {
-        Ok(()) => println!("\n(written to {out_path})"),
-        Err(err) => {
-            eprintln!("could not write {out_path}: {err}");
-            std::process::exit(1);
-        }
-    }
+    println!();
+    write_record(
+        &args.out,
+        "inference",
+        args.quick,
+        &PerfRecord { workloads: records },
+    );
 }

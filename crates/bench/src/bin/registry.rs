@@ -45,20 +45,14 @@
 //!
 //! The tenant table, the placements (with their swap pulse/energy prices
 //! and each install's wall time, recorded but not gated), the fleet's swap
-//! telemetry and the gate outcomes land in `BENCH_registry.json`.
-//!
-//! Usage:
-//!
-//! ```console
-//! cargo run --release -p febim-bench --bin registry \
-//!     [-- --quick] [--out PATH] [--budget PATH]
-//! ```
+//! telemetry and the gate outcomes land in `BENCH_registry.json` (see the
+//! crate docs for the command line).
 
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::Instant;
 
 use serde::Serialize;
 
-use febim_bench::load_budget;
+use febim_bench::{measure_reads, remeasure, request_stream, write_record, Args};
 use febim_compare::{RegistryComparison, TenantMeasurement};
 use febim_core::{
     EngineConfig, FebimEngine, InferenceStep, ModelRegistry, RegistryConfig, RegistryReport,
@@ -68,14 +62,10 @@ use febim_crossbar::TileShape;
 use febim_data::rng::seeded_rng;
 use febim_data::split::stratified_split;
 use febim_data::synthetic::iris_like;
-use febim_data::Dataset;
 
 /// The persisted record tracking the multi-tenant serving trajectory.
 #[derive(Debug, Serialize)]
 struct RegistryRecord {
-    bench: &'static str,
-    generated_unix_s: u64,
-    quick: bool,
     tenants: usize,
     banks: usize,
     tiles_per_bank: usize,
@@ -156,17 +146,6 @@ struct Tenant {
     dedicated_ns: f64,
 }
 
-/// Request stream: the test split cycled up to `count` samples.
-fn request_stream(test: &Dataset, count: usize) -> Vec<Vec<f64>> {
-    (0..count)
-        .map(|index| {
-            test.sample(index % test.n_samples())
-                .expect("sample")
-                .to_vec()
-        })
-        .collect()
-}
-
 /// Fits one tenant and measures its dedicated sequential baseline (best of
 /// `passes` passes), keeping the per-sample reference steps for the
 /// bit-identity gate.
@@ -185,14 +164,7 @@ fn build_tenant(id: u64, seed: u64, requests: usize, passes: usize) -> Tenant {
         .iter()
         .map(|sample| engine.infer_into(sample, &mut scratch).expect("infer"))
         .collect();
-    let mut dedicated_ns = f64::INFINITY;
-    for _ in 0..passes {
-        let start = Instant::now();
-        for sample in &samples {
-            engine.infer_into(sample, &mut scratch).expect("infer");
-        }
-        dedicated_ns = dedicated_ns.min(start.elapsed().as_nanos() as f64 / samples.len() as f64);
-    }
+    let dedicated_ns = measure_reads(&engine, &samples, passes);
     Tenant {
         id,
         engine,
@@ -280,28 +252,15 @@ fn serial_serves(registry: &ModelRegistry, tenants: &[&Tenant], concurrent: bool
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_registry.json".to_string());
-    let budget_path = args
-        .iter()
-        .position(|a| a == "--budget")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "REGISTRY_BUDGET.json".to_string());
-    let requests = if quick { 300 } else { 2_000 };
-    let passes = if quick { 2 } else { 3 };
+    let args = Args::parse("BENCH_registry.json", Some("REGISTRY_BUDGET.json"));
+    let requests = if args.quick { 300 } else { 2_000 };
+    let passes = if args.quick { 2 } else { 3 };
     const TENANTS: usize = 5;
 
     println!(
         "registry: {TENANTS} tenants on a 2-bank fleet sized for 4, {requests} requests/tenant \
          ({} mode)\n",
-        if quick { "quick" } else { "full" }
+        args.mode()
     );
 
     let tenants: Vec<Tenant> = (0..TENANTS)
@@ -414,7 +373,7 @@ fn main() {
     // then every resident tenant's client at once across both banks, so
     // each bank's worker goes idle and wakes between requests while the
     // other bank's client runs.
-    let mut single_in_flight = serial_serves(&registry, &resident, false);
+    let single_in_flight = serial_serves(&registry, &resident, false);
     println!(
         "single in flight: {} serial serves, p50 {:.1} ns, p99 {:.1} ns",
         single_in_flight.samples, single_in_flight.p50_ns, single_in_flight.p99_ns
@@ -450,24 +409,26 @@ fn main() {
     // Budget gate: the best per-tenant registry ns/request must hold the
     // checked-in budget. Re-measure the fastest tenant with fresh passes
     // before failing a noisy sweep.
-    let budget = load_budget(&budget_path, "registry_ns_per_request_budget");
-    let mut best_ns = comparison.best_registry_ns().expect("tenant rows measured");
-    for attempt in 0..3 {
-        if best_ns <= budget {
-            break;
-        }
-        println!(
-            "\nre-measuring the fastest tenant (attempt {}, {:.1} ns vs {:.1} ns budget)",
-            attempt + 1,
-            best_ns,
-            budget
-        );
-        for tenant in &tenants {
-            let (registry_ns, identical) = measure_registry(&registry, tenant, passes + 1);
-            assert!(identical, "re-measured tenant diverged");
-            best_ns = best_ns.min(registry_ns);
-        }
-    }
+    let budget = args.threshold("registry_ns_per_request_budget");
+    let best_ns = remeasure(
+        comparison.best_registry_ns().expect("tenant rows measured"),
+        |&best_ns| best_ns <= budget,
+        f64::min,
+        |attempt, &best_ns| {
+            println!(
+                "\nre-measuring the fastest tenant (attempt {attempt}, {best_ns:.1} ns vs \
+                 {budget:.1} ns budget)"
+            );
+            tenants
+                .iter()
+                .map(|tenant| {
+                    let (registry_ns, identical) = measure_registry(&registry, tenant, passes + 1);
+                    assert!(identical, "re-measured tenant diverged");
+                    registry_ns
+                })
+                .fold(f64::INFINITY, f64::min)
+        },
+    );
     println!("\nbudget gate: best registry path {best_ns:.1} ns/request (budget {budget:.1} ns)");
     assert!(
         best_ns <= budget,
@@ -478,22 +439,26 @@ fn main() {
 
     // Wake-path gate: the single-in-flight p99 must hold its loose
     // checked-in budget. Re-measure before failing a noisy sweep.
-    let p99_budget = load_budget(&budget_path, "single_in_flight_p99_ns_budget");
-    for attempt in 0..3 {
-        if single_in_flight.p99_ns <= p99_budget {
-            break;
-        }
-        println!(
-            "re-measuring single in flight (attempt {}, p99 {:.1} ns vs {:.1} ns budget)",
-            attempt + 1,
-            single_in_flight.p99_ns,
-            p99_budget
-        );
-        let again = serial_serves(&registry, &resident, false);
-        if again.p99_ns < single_in_flight.p99_ns {
-            single_in_flight = again;
-        }
-    }
+    let p99_budget = args.threshold("single_in_flight_p99_ns_budget");
+    let single_in_flight = remeasure(
+        single_in_flight,
+        |serves| serves.p99_ns <= p99_budget,
+        |best, again| {
+            if again.p99_ns < best.p99_ns {
+                again
+            } else {
+                best
+            }
+        },
+        |attempt, serves| {
+            println!(
+                "re-measuring single in flight (attempt {attempt}, p99 {:.1} ns vs \
+                 {p99_budget:.1} ns budget)",
+                serves.p99_ns
+            );
+            serial_serves(&registry, &resident, false)
+        },
+    );
     println!(
         "wake gate: single-in-flight p99 {:.1} ns (budget {p99_budget:.1} ns)",
         single_in_flight.p99_ns
@@ -520,34 +485,26 @@ fn main() {
         stats.swaps, stats.swap_pulses, stats.swap_energy_j
     );
 
-    let record = RegistryRecord {
-        bench: "registry",
-        generated_unix_s: SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-        quick,
-        tenants: TENANTS,
-        banks,
-        tiles_per_bank,
-        requests_per_tenant: requests,
-        placements,
-        comparison,
-        occupancy,
-        mixed_ns_per_request,
-        mixed_tenants: resident.len(),
-        single_in_flight,
-        concurrent_serial,
-        best_registry_ns_per_request: best_ns,
-        registry_ns_per_request_budget: budget,
-        single_in_flight_p99_ns_budget: p99_budget,
-        snapshot_round_trip_bit_identical: snapshot_identical,
-    };
-    match std::fs::write(&out_path, serde::json::to_string_pretty(&record) + "\n") {
-        Ok(()) => println!("(written to {out_path})"),
-        Err(err) => {
-            eprintln!("could not write {out_path}: {err}");
-            std::process::exit(1);
-        }
-    }
+    write_record(
+        &args.out,
+        "registry",
+        args.quick,
+        &RegistryRecord {
+            tenants: TENANTS,
+            banks,
+            tiles_per_bank,
+            requests_per_tenant: requests,
+            placements,
+            comparison,
+            occupancy,
+            mixed_ns_per_request,
+            mixed_tenants: resident.len(),
+            single_in_flight,
+            concurrent_serial,
+            best_registry_ns_per_request: best_ns,
+            registry_ns_per_request_budget: budget,
+            single_in_flight_p99_ns_budget: p99_budget,
+            snapshot_round_trip_bit_identical: snapshot_identical,
+        },
+    );
 }

@@ -36,25 +36,14 @@
 //!   `pool_ns_per_request_budget` of `SERVING_BUDGET.json`.
 //!
 //! Both gates re-measure the decisive configuration with fresh passes
-//! before failing, so one noisy sweep on a loaded host doesn't flake CI.
-//!
-//! Usage:
-//!
-//! ```console
-//! cargo run --release -p febim-bench --bin serving \
-//!     [-- --quick] [--out PATH] [--budget PATH]
-//! ```
-//!
-//! `--quick` shortens the request stream (used by the CI bench-smoke step);
-//! `--out` overrides the output path (default `BENCH_serving.json`);
-//! `--budget` overrides the budget file path (default
-//! `SERVING_BUDGET.json`).
+//! before failing, so one noisy sweep on a loaded host doesn't flake CI
+//! (see the crate docs for the command line).
 
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::Instant;
 
 use serde::Serialize;
 
-use febim_bench::load_budget;
+use febim_bench::{remeasure, request_stream, write_record, Args};
 use febim_compare::{ServingComparison, ServingMeasurement};
 use febim_core::{
     CrossbarBackend, EngineConfig, FebimEngine, InferenceBackend, ServingConfig, ServingPool,
@@ -64,14 +53,10 @@ use febim_crossbar::TileShape;
 use febim_data::rng::seeded_rng;
 use febim_data::split::stratified_split;
 use febim_data::synthetic::iris_like;
-use febim_data::Dataset;
 
 /// The persisted record tracking the serving-throughput trajectory.
 #[derive(Debug, Serialize)]
 struct ServingRecord {
-    bench: &'static str,
-    generated_unix_s: u64,
-    quick: bool,
     requests: usize,
     replicas_swept: Vec<usize>,
     batches_swept: Vec<usize>,
@@ -89,17 +74,6 @@ struct ServingRecord {
     iris_pool_floor_ns_per_request: f64,
     /// The `pool_ns_per_request_budget` the floor was gated against.
     pool_ns_per_request_budget: f64,
-}
-
-/// Request stream: the test split cycled up to `count` samples.
-fn request_stream(test: &Dataset, count: usize) -> Vec<Vec<f64>> {
-    (0..count)
-        .map(|index| {
-            test.sample(index % test.n_samples())
-                .expect("sample")
-                .to_vec()
-        })
-        .collect()
 }
 
 /// Sequential baseline: ns/request of one engine answering one request at a
@@ -322,26 +296,13 @@ fn best_overhead_ratio(comparison: &ServingComparison, min_batch: usize) -> Opti
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_serving.json".to_string());
-    let budget_path = args
-        .iter()
-        .position(|a| a == "--budget")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "SERVING_BUDGET.json".to_string());
-    let requests = if quick { 1_500 } else { 12_000 };
-    let passes = if quick { 2 } else { 3 };
+    let args = Args::parse("BENCH_serving.json", Some("SERVING_BUDGET.json"));
+    let requests = if args.quick { 1_500 } else { 12_000 };
+    let passes = if args.quick { 2 } else { 3 };
 
     println!(
         "serving: sweeping replicas x batch x backend over {requests} requests ({} mode)\n",
-        if quick { "quick" } else { "full" }
+        args.mode()
     );
 
     let cores = std::thread::available_parallelism()
@@ -427,31 +388,31 @@ fn main() {
     // host can produce one noisy sweep, so re-measure the decisive
     // configuration with fresh passes (recorded as additional honest rows)
     // before concluding.
-    let mut best_tiled_batched_speedup = comparison
-        .best_batched_speedup("fig6/tiled-fabric", 8)
-        .expect("tiled rows swept");
-    for attempt in 0..3 {
-        if best_tiled_batched_speedup >= 1.0 {
-            break;
-        }
-        println!(
-            "\nre-measuring the tiled batch-32 configuration (attempt {}, measured {:.3}x)",
-            attempt + 1,
-            best_tiled_batched_speedup
-        );
-        sweep_backend(
-            &mut comparison,
-            "fig6",
-            &fig6_tiled,
-            &fig6_samples,
-            &[1],
-            &[32],
-            passes + 1,
-        );
-        best_tiled_batched_speedup = comparison
+    let best_tiled_batched_speedup = remeasure(
+        comparison
             .best_batched_speedup("fig6/tiled-fabric", 8)
-            .expect("tiled rows swept");
-    }
+            .expect("tiled rows swept"),
+        |&speedup| speedup >= 1.0,
+        f64::max,
+        |attempt, &speedup| {
+            println!(
+                "\nre-measuring the tiled batch-32 configuration (attempt {attempt}, measured \
+                 {speedup:.3}x)"
+            );
+            sweep_backend(
+                &mut comparison,
+                "fig6",
+                &fig6_tiled,
+                &fig6_samples,
+                &[1],
+                &[32],
+                passes + 1,
+            );
+            comparison
+                .best_batched_speedup("fig6/tiled-fabric", 8)
+                .expect("tiled rows swept")
+        },
+    );
     let best_tiled_pool_speedup = comparison
         .best_speedup("fig6/tiled-fabric", 8)
         .expect("tiled rows swept");
@@ -470,27 +431,27 @@ fn main() {
     // at batch >= 8 on at least one backend. Re-measure the strongest
     // configuration (fig6 software, where inference is expensive enough for
     // coalescing to pay) before failing a noisy sweep.
-    let mut best_ratio = best_overhead_ratio(&comparison, 8).expect("batch >= 8 rows swept");
-    for attempt in 0..3 {
-        if best_ratio <= 2.0 {
-            break;
-        }
-        println!(
-            "\nre-measuring the fig6 software pool (attempt {}, overhead ratio {:.3}x)",
-            attempt + 1,
-            best_ratio
-        );
-        sweep_backend(
-            &mut comparison,
-            "fig6",
-            &fig6_software,
-            &fig6_samples,
-            &[1],
-            &[8],
-            passes + 1,
-        );
-        best_ratio = best_overhead_ratio(&comparison, 8).expect("batch >= 8 rows swept");
-    }
+    let best_ratio = remeasure(
+        best_overhead_ratio(&comparison, 8).expect("batch >= 8 rows swept"),
+        |&ratio| ratio <= 2.0,
+        f64::min,
+        |attempt, &ratio| {
+            println!(
+                "\nre-measuring the fig6 software pool (attempt {attempt}, overhead ratio \
+                 {ratio:.3}x)"
+            );
+            sweep_backend(
+                &mut comparison,
+                "fig6",
+                &fig6_software,
+                &fig6_samples,
+                &[1],
+                &[8],
+                passes + 1,
+            );
+            best_overhead_ratio(&comparison, 8).expect("batch >= 8 rows swept")
+        },
+    );
     println!(
         "\noverhead gate: pool within {best_ratio:.3}x of raw sequential inference at batch >= 8 \
          (limit 2x)"
@@ -504,29 +465,28 @@ fn main() {
     // Budget gate: the iris-scale pool floor — where messaging, not
     // inference, is the cost — must hold the checked-in ns/request budget.
     // Re-measure the floor configuration with fresh passes before failing.
-    let budget = load_budget(&budget_path, "pool_ns_per_request_budget");
-    let mut floor_ns = best_pool_ns(&comparison, "iris/", 8).expect("iris rows swept");
-    for attempt in 0..3 {
-        if floor_ns <= budget {
-            break;
-        }
-        println!(
-            "\nre-measuring the iris pool floor (attempt {}, {:.1} ns vs {:.1} ns budget)",
-            attempt + 1,
-            floor_ns,
-            budget
-        );
-        sweep_backend(
-            &mut comparison,
-            "iris",
-            &iris_software,
-            &iris_samples,
-            &[1, 2],
-            &[32],
-            passes + 1,
-        );
-        floor_ns = best_pool_ns(&comparison, "iris/", 8).expect("iris rows swept");
-    }
+    let budget = args.threshold("pool_ns_per_request_budget");
+    let floor_ns = remeasure(
+        best_pool_ns(&comparison, "iris/", 8).expect("iris rows swept"),
+        |&floor_ns| floor_ns <= budget,
+        f64::min,
+        |attempt, &floor_ns| {
+            println!(
+                "\nre-measuring the iris pool floor (attempt {attempt}, {floor_ns:.1} ns vs \
+                 {budget:.1} ns budget)"
+            );
+            sweep_backend(
+                &mut comparison,
+                "iris",
+                &iris_software,
+                &iris_samples,
+                &[1, 2],
+                &[32],
+                passes + 1,
+            );
+            best_pool_ns(&comparison, "iris/", 8).expect("iris rows swept")
+        },
+    );
     println!("budget gate: iris pool floor {floor_ns:.1} ns/request (budget {budget:.1} ns)");
     assert!(
         floor_ns <= budget,
@@ -534,27 +494,19 @@ fn main() {
          ({floor_ns:.1} ns > {budget:.1} ns); fix the regression or re-baseline SERVING_BUDGET.json"
     );
 
-    let record = ServingRecord {
-        bench: "serving",
-        generated_unix_s: SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-        quick,
-        requests,
-        replicas_swept,
-        batches_swept,
-        comparison,
-        best_tiled_batched_speedup,
-        best_pool_overhead_ratio: best_ratio,
-        iris_pool_floor_ns_per_request: floor_ns,
-        pool_ns_per_request_budget: budget,
-    };
-    match std::fs::write(&out_path, serde::json::to_string_pretty(&record) + "\n") {
-        Ok(()) => println!("(written to {out_path})"),
-        Err(err) => {
-            eprintln!("could not write {out_path}: {err}");
-            std::process::exit(1);
-        }
-    }
+    write_record(
+        &args.out,
+        "serving",
+        args.quick,
+        &ServingRecord {
+            requests,
+            replicas_swept,
+            batches_swept,
+            comparison,
+            best_tiled_batched_speedup,
+            best_pool_overhead_ratio: best_ratio,
+            iris_pool_floor_ns_per_request: floor_ns,
+            pool_ns_per_request_budget: budget,
+        },
+    );
 }

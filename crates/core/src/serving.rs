@@ -1613,8 +1613,10 @@ pub struct PoolStats {
     pub swap_pulses: u64,
     /// Σ erase + programming energy spent by hot swaps, in joules.
     pub swap_energy_j: f64,
-    /// Routed requests answered with [`ServingError::ModelUnavailable`],
-    /// across all workers.
+    /// Routed requests answered with [`ServingError::ModelUnavailable`]
+    /// because their model was swapped out after they were queued, across
+    /// all workers. Unrouted requests a routed pool rejects at admission
+    /// are not counted.
     pub unrouted: u64,
     /// Idle parks on a condvar, across all workers.
     pub idle_parks: u64,
@@ -1938,7 +1940,10 @@ impl ServingPool {
     /// # Errors
     ///
     /// Returns [`ServingError::QueueFull`] when the pool is at capacity
-    /// (backpressure — retry later or use [`ServingPool::submit_blocking`]).
+    /// (backpressure — retry later or use [`ServingPool::submit_blocking`]),
+    /// and [`ServingError::NoReplicas`] on a routed pool (see
+    /// [`ServingPool::new_routed`]), whose requests must name their model
+    /// through [`ServingPool::submit_routed`].
     pub fn submit(&self, sample: Vec<f64>) -> Result<Ticket, ServingError> {
         self.admit(None, sample, false)
     }
@@ -1949,13 +1954,15 @@ impl ServingPool {
     /// # Errors
     ///
     /// Returns [`ServingError::ShutDown`] when the pool closes while the
-    /// request waits for a slot.
+    /// request waits for a slot, and [`ServingError::NoReplicas`] at once on
+    /// a routed pool, as [`ServingPool::submit`] does.
     pub fn submit_blocking(&self, sample: Vec<f64>) -> Result<Ticket, ServingError> {
         self.admit(None, sample, true)
     }
 
     /// Convenience: submits every sample (blocking backpressure) and waits
-    /// for all answers, returned in submission order.
+    /// for all answers, returned in submission order. On a routed pool every
+    /// answer is [`ServingError::NoReplicas`].
     pub fn serve(&self, samples: &[Vec<f64>]) -> Vec<ServeResult> {
         self.serve_all(None, samples)
     }
@@ -2002,7 +2009,9 @@ impl ServingPool {
 
     /// Shared admission of every submit path: a request routed by `model`
     /// goes to the ring of the worker hosting it, an unrouted one is placed
-    /// round-robin; `blocking` waits for space instead of answering
+    /// round-robin on a replica pool and rejected with
+    /// [`ServingError::NoReplicas`] on a routed pool, before it takes a
+    /// slot; `blocking` waits for space instead of answering
     /// [`ServingError::QueueFull`].
     fn admit(
         &self,
@@ -2010,13 +2019,15 @@ impl ServingPool {
         sample: Vec<f64>,
         blocking: bool,
     ) -> Result<Ticket, ServingError> {
-        let target = model
-            .map(|model| {
+        let target = match model {
+            Some(model) => Some(
                 self.shared
                     .route_of(model)
-                    .ok_or(ServingError::ModelUnavailable { model })
-            })
-            .transpose()?;
+                    .ok_or(ServingError::ModelUnavailable { model })?,
+            ),
+            None if self.shared.routed => return Err(ServingError::NoReplicas),
+            None => None,
+        };
         let cell = Arc::new(TicketCell::new());
         let mut job = Job::new(sample, Arc::clone(&cell));
         job.model = model;
@@ -2535,8 +2546,8 @@ fn worker_loop<B: InferenceBackend + 'static>(
                     group.extend(batch.extract_if(.., |job| job.model == model));
                     &mut group
                 };
-                match bank.iter_mut().find(|slot| slot.model == model) {
-                    Some(slot) => dispatch_batch(
+                match (bank.iter_mut().find(|slot| slot.model == model), model) {
+                    (Some(slot), _) => dispatch_batch(
                         worker,
                         slot,
                         shared,
@@ -2545,18 +2556,19 @@ fn worker_loop<B: InferenceBackend + 'static>(
                         &mut samples,
                         &mut report,
                     ),
-                    None => {
-                        // The model was swapped out between queueing and
-                        // dispatch (or an unrouted request reached a routed
-                        // bank): answer the typed error, never strand.
-                        let err = model.map_or(ServingError::NoReplicas, |model| {
-                            ServingError::ModelUnavailable { model }
-                        });
+                    // Admission rejects unrouted requests on a routed pool,
+                    // so only a model swapped out between queueing and
+                    // dispatch misses its slot: answer the typed error,
+                    // never strand.
+                    (None, Some(model)) => {
                         report.unrouted += jobs.len() as u64;
                         for job in jobs.drain(..) {
-                            job.complete(Err(err.clone()));
+                            job.complete(Err(ServingError::ModelUnavailable { model }));
                         }
                     }
+                    // Unreachable for the same reason (a replica bank's one
+                    // slot hosts `None`); a dropped job answers `ShutDown`.
+                    (None, None) => jobs.clear(),
                 }
             }
             let ticks = config.ticks_per_batch;
@@ -3769,6 +3781,31 @@ mod tests {
         assert_eq!(stats.failed_requests, 0);
         assert_eq!(stats.unrouted, 0);
         assert_eq!(stats.swaps, 0);
+    }
+
+    #[test]
+    fn routed_pools_reject_unrouted_requests_at_admission() {
+        let (train, test) = split_for(914);
+        let engine = FebimEngine::fit(&train, EngineConfig::febim_default()).unwrap();
+        let sample = test.sample(0).unwrap().to_vec();
+        let config = ServingConfig::default()
+            .with_max_batch(1)
+            .with_queue_depth(1);
+        let pool = ServingPool::new_routed(vec![vec![(5u64, engine)]], config).unwrap();
+        assert!(matches!(
+            pool.submit(sample.clone()),
+            Err(ServingError::NoReplicas)
+        ));
+        assert!(matches!(
+            pool.submit_blocking(sample.clone()),
+            Err(ServingError::NoReplicas)
+        ));
+        // The rejected requests took no slot of the depth-1 queue.
+        let ticket = pool.submit_routed(5, sample).unwrap();
+        assert!(ticket.wait().is_ok());
+        let stats = pool.shutdown();
+        assert_eq!(stats.requests, 1);
+        assert_eq!(stats.unrouted, 0);
     }
 
     #[test]
